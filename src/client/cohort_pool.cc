@@ -1,7 +1,6 @@
 #include "client/cohort_pool.h"
 
 #include <algorithm>
-#include <tuple>
 
 #include "common/assert.h"
 
@@ -93,66 +92,26 @@ void CohortPool::subscribe_client(ClientId client, TopicId topic,
     send_control(fid, target, wire::MessageType::kSubscribe, 1, 0);
     return;
   }
-  const std::int32_t new_set = topic_sets_->with(set, topic);
+  // The client's other topics move with it: their flocks in the new cohort
+  // start where the old ones sit, next to the newly subscribed one.
+  std::vector<FlockPlacement> carried = placements_except(client, topic);
+  carried.push_back({topic, target, filter});
   if (registry_->cohort_of(client) >= 0) leave_cohort(client);
-  const std::int32_t slot =
-      cohort_slot(registry_->home(client), new_set, row);
-  Cohort& cohort = cohorts_[static_cast<std::size_t>(slot)];
-  // Seed the subscribed flock's attachment before the member joins: an
-  // empty (new or revived) cohort attaches where this first member would; a
-  // populated one must already sit exactly there.
-  for (const auto& [t, fid] : cohort.flocks) {
-    if (t != topic) continue;
-    Flock& flock = flocks_[static_cast<std::size_t>(fid)];
-    if (cohort.members.empty() || !flock.attachment.valid()) {
-      flock.attachment = target;
-      flock.filter = filter;
-    } else {
-      MP_EXPECTS(flock.attachment == target);
-      MP_EXPECTS(flock.filter == filter &&
-                 "cohort flocks are uniformly filtered");
-    }
-  }
-  registry_->set_topic_set(client, new_set);
-  add_member(client, new_set);
+  join_cohort(client, topic_sets_->with(set, topic), carried);
 }
 
 void CohortPool::unsubscribe_client(ClientId client, TopicId topic) {
   const std::int32_t set = registry_->topic_set(client);
   if (!topic_sets_->contains(set, topic)) return;  // mirror: not attached
-  const std::int32_t old_cohort = registry_->cohort_of(client);
-  MP_EXPECTS(old_cohort >= 0);
-  // Retained topics move with the client; remember where their flocks sit
-  // so a brand-new smaller cohort starts attached in the same places.
-  std::vector<std::tuple<TopicId, RegionId, wire::KeyFilter>> retained;
-  for (const auto& [t, fid] :
-       cohorts_[static_cast<std::size_t>(old_cohort)].flocks) {
-    if (t != topic) {
-      const Flock& flock = flocks_[static_cast<std::size_t>(fid)];
-      retained.emplace_back(t, flock.attachment, flock.filter);
-    }
-  }
+  MP_EXPECTS(registry_->cohort_of(client) >= 0);
+  // Retained topics move with the client, so a brand-new smaller cohort
+  // starts attached in the same places.
+  const std::vector<FlockPlacement> carried = placements_except(client, topic);
   leave_cohort(client);
   const std::int32_t new_set = topic_sets_->without(set, topic);
   registry_->set_topic_set(client, new_set);
   if (new_set == TopicSetPool::kEmpty) return;
-  const std::int32_t slot = cohort_slot(
-      registry_->home(client), new_set, registry_->row_of(client));
-  Cohort& cohort = cohorts_[static_cast<std::size_t>(slot)];
-  for (const auto& [t, fid] : cohort.flocks) {
-    Flock& flock = flocks_[static_cast<std::size_t>(fid)];
-    for (const auto& [rt, ra, rf] : retained) {
-      if (rt != t || !ra.valid()) continue;
-      if (cohort.members.empty() || !flock.attachment.valid()) {
-        flock.attachment = ra;
-        flock.filter = rf;
-      } else {
-        // Same row + same config history => same closest region.
-        MP_EXPECTS(flock.attachment == ra);
-      }
-    }
-  }
-  add_member(client, new_set);
+  join_cohort(client, new_set, carried);
 }
 
 void CohortPool::kill_client(ClientId client) {
@@ -316,6 +275,45 @@ void CohortPool::leave_cohort(ClientId client) {
     // Last member out: the broker drops the flock's entry on arrival.
     if (cohort.members.empty()) flock.presence.remove(flock.attachment);
   }
+}
+
+std::vector<CohortPool::FlockPlacement> CohortPool::placements_except(
+    ClientId client, TopicId topic) const {
+  std::vector<FlockPlacement> placements;
+  const std::int32_t cohort = registry_->cohort_of(client);
+  if (cohort < 0) return placements;
+  for (const auto& [t, fid] :
+       cohorts_[static_cast<std::size_t>(cohort)].flocks) {
+    if (t == topic) continue;
+    const Flock& flock = flocks_[static_cast<std::size_t>(fid)];
+    placements.push_back({t, flock.attachment, flock.filter});
+  }
+  return placements;
+}
+
+void CohortPool::join_cohort(ClientId client, std::int32_t topic_set,
+                             std::span<const FlockPlacement> placements) {
+  const std::int32_t slot = cohort_slot(registry_->home(client), topic_set,
+                                        registry_->row_of(client));
+  Cohort& cohort = cohorts_[static_cast<std::size_t>(slot)];
+  // An empty (new or revived) cohort attaches where this first member's
+  // flocks sit; a populated one must already sit exactly there (same row +
+  // same config history => same closest region).
+  for (const auto& [t, fid] : cohort.flocks) {
+    Flock& flock = flocks_[static_cast<std::size_t>(fid)];
+    for (const FlockPlacement& placement : placements) {
+      if (placement.topic != t) continue;
+      if (cohort.members.empty() || !flock.attachment.valid()) {
+        flock.attachment = placement.attachment;
+        flock.filter = placement.filter;
+      } else {
+        MP_EXPECTS(flock.attachment == placement.attachment);
+        MP_EXPECTS(flock.filter == placement.filter &&
+                   "cohort flocks are uniformly filtered");
+      }
+    }
+  }
+  add_member(client, topic_set);
 }
 
 void CohortPool::add_member(ClientId client, std::int32_t topic_set) {

@@ -232,6 +232,14 @@ class CohortPool final : public net::CohortDirectory {
     std::uint64_t recorded_duplicates_w = 0;
   };
 
+  /// Where one of a client's flocks sits, carried into the cohort the
+  /// client moves to when its topic set changes.
+  struct FlockPlacement {
+    TopicId topic;
+    RegionId attachment;
+    wire::KeyFilter filter;
+  };
+
   struct CohortKeyHash {
     std::size_t operator()(std::uint64_t k) const {
       return static_cast<std::size_t>(k * 0x9e3779b97f4a7c15ULL);
@@ -260,6 +268,15 @@ class CohortPool final : public net::CohortDirectory {
   /// Removes the client from its cohort, sending a weight-1 kUnsubscribe on
   /// every attached flock (its table entries everywhere go away).
   void leave_cohort(ClientId client);
+  /// The placements of the client's current flocks other than `topic`'s
+  /// (none when it belongs to no cohort).
+  [[nodiscard]] std::vector<FlockPlacement> placements_except(
+      ClientId client, TopicId topic) const;
+  /// Seeds the `topic_set` cohort's flocks from `placements` (an empty
+  /// cohort takes them; a populated one must already match), then
+  /// add_member()s the client.
+  void join_cohort(ClientId client, std::int32_t topic_set,
+                   std::span<const FlockPlacement> placements);
   /// Adds the client to the (existing or new) cohort for `topic_set`,
   /// emitting one weight-1 kSubscribe per flock — a joining member is a new
   /// table entry everywhere, so every one is membership-marking. Every

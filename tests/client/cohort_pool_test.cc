@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "client/client_registry.h"
@@ -15,6 +17,7 @@
 #include "common/arena.h"
 #include "net/simulator.h"
 #include "sim/live_runner.h"
+#include "sim/metrics_snapshot.h"
 #include "sim/scenario.h"
 #include "testutil.h"
 
@@ -227,6 +230,37 @@ TEST_F(CohortPoolTest, LatencyRowChangeMovesClientToAnotherCohort) {
   EXPECT_EQ(pool_.attached_region(c0, kTopic), RegionId{0});  // undisturbed
 }
 
+TEST_F(CohortPoolTest, SecondTopicJoinCarriesTheFirstTopicAlong) {
+  // Joining topic 1 moves the client from the {0} cohort to a brand-new
+  // {0, 1} one: its topic-0 flock must arrive attached where it was, next
+  // to the freshly attached topic-1 flock.
+  const ClientId stayer = join(RegionId{0}, kNearA, t0_);
+  const ClientId mover = join(RegionId{0}, kNearA, t0_);
+  pool_.deploy(kTopic, config(0b110));  // the row's closest of {B, C}: C
+  sim_.run();
+  const std::int32_t old_slot = registry_.cohort_of(mover);
+
+  constexpr TopicId kSecond{1};
+  pool_.subscribe_client(mover, kSecond, config(0b011));  // closest: A
+  sim_.run();
+  const std::int32_t new_slot = registry_.cohort_of(mover);
+  EXPECT_NE(new_slot, old_slot);
+  EXPECT_EQ(pool_.cohort_count(), 2u);
+  EXPECT_EQ(pool_.cohort_weight(new_slot), 1u);
+  EXPECT_EQ(pool_.cohort_weight(old_slot), 1u);
+  EXPECT_EQ(pool_.attached_region(mover, kTopic), RegionId{2});
+  EXPECT_EQ(pool_.attached_region(mover, kSecond), RegionId{0});
+  EXPECT_EQ(pool_.attached_region(stayer, kTopic), RegionId{2});
+
+  // Dropping topic 1 again returns the mover to its first cohort.
+  pool_.unsubscribe_client(mover, kSecond);
+  sim_.run();
+  EXPECT_EQ(registry_.cohort_of(mover), old_slot);
+  EXPECT_EQ(pool_.cohort_weight(old_slot), 2u);
+  EXPECT_EQ(pool_.retired_cohort_count(), 1u);
+  EXPECT_EQ(pool_.attached_region(mover, kTopic), RegionId{2});
+}
+
 TEST_F(CohortPoolTest, KillIsSilentAndTheEmptiedCohortRetires) {
   const ClientId c0 = join(RegionId{0}, kNearA, t0_);
   const ClientId c1 = join(RegionId{0}, kNearA, t0_);
@@ -312,6 +346,91 @@ TEST(CohortFanoutTest, MemberDeathBetweenIntervalsShrinksTheWeight) {
   sys.cohort_pool()->kill_client(scenario.topic.subscribers[0].client);
   const auto after = sys.run_interval(10.0, 1024, 1.0, traffic);
   EXPECT_EQ(after.delivery_times.size(), 5 * after.publications);
+}
+
+// A member of a weight-3 cohort joins a second topic and lands alone in a
+// brand-new two-topic cohort. Against the per-client plane, both topics
+// keep the same deliveries, costs and weighted counters.
+TEST(CohortFanoutTest, SecondTopicJoinMatchesThePerClientPlane) {
+  Rng rng(13);
+  sim::WorkloadSpec workload;
+  workload.interval_seconds = 10.0;
+  workload.subscriber_replication = 3;
+  const sim::Scenario scenario = sim::make_scenario(
+      {{RegionId{0}, 1, 2}, {RegionId{5}, 1, 1}}, workload, rng);
+  const TopicId first = scenario.topic.topic;
+  const TopicId second{first.value() + 1};
+  const ClientId joiner = scenario.topic.subscribers[0].client;
+  const core::TopicConfig bootstrap{geo::RegionSet::universe(10),
+                                    core::DeliveryMode::kRouted};
+  const core::TopicConfig second_config{geo::RegionSet(0b100010),
+                                        core::DeliveryMode::kDirect};
+
+  sim::LiveSystem reference(scenario);
+  sim::LiveSystem cohorts(scenario);
+  cohorts.set_cohorts(true);
+  const std::size_t initial_cohorts = cohorts.cohort_pool()->cohort_count();
+  for (sim::LiveSystem* sys : {&reference, &cohorts}) {
+    sys->deploy(bootstrap);
+    for (std::size_t r = 0; r < scenario.catalog.size(); ++r) {
+      sys->region_manager(RegionId{static_cast<std::int32_t>(r)})
+          .broker()
+          .set_topic_config(second, second_config);
+    }
+    sys->publishers()[0]->set_config(second, second_config);
+  }
+  reference.subscribers()[0]->subscribe(second, second_config);
+  cohorts.cohort_pool()->subscribe_client(joiner, second, second_config);
+  EXPECT_EQ(cohorts.cohort_pool()->cohort_count(), initial_cohorts + 1);
+  for (sim::LiveSystem* sys : {&reference, &cohorts}) {
+    sys->simulator().run();
+    for (int i = 0; i < 5; ++i) sys->publishers()[0]->publish(second, 512);
+    sys->simulator().run();
+  }
+
+  // Second-topic traffic reaches the joiner alone, at the same instants.
+  std::vector<Millis> joiner_times;
+  cohorts.cohort_pool()->append_delivery_times(joiner, joiner_times);
+  EXPECT_EQ(joiner_times.size(), 5u);
+  EXPECT_EQ(joiner_times, reference.subscribers()[0]->delivery_times());
+  EXPECT_GT(reference.transport().topic_cost(second), 0.0);
+  EXPECT_EQ(cohorts.transport().topic_cost(second),
+            reference.transport().topic_cost(second));
+
+  // First-topic traffic still reaches every subscriber, the joiner through
+  // the flock it carried into its new cohort.
+  Rng reference_traffic(31);
+  Rng cohort_traffic(31);
+  const auto expected = reference.run_interval(10.0, 1024, 1.0,
+                                               reference_traffic);
+  const auto got = cohorts.run_interval(10.0, 1024, 1.0, cohort_traffic);
+  ASSERT_GT(expected.publications, 0u);
+  EXPECT_EQ(expected.deliveries,
+            scenario.topic.subscribers.size() * expected.publications);
+  EXPECT_EQ(got.delivery_times, expected.delivery_times);
+  EXPECT_EQ(got.interval_cost, expected.interval_cost);
+  EXPECT_EQ(cohorts.transport().topic_cost(first),
+            reference.transport().topic_cost(first));
+  EXPECT_EQ(cohorts.transport().ledger().inter_region_bytes,
+            reference.transport().ledger().inter_region_bytes);
+  EXPECT_EQ(cohorts.transport().ledger().internet_bytes,
+            reference.transport().ledger().internet_bytes);
+  // Broker counters and the weighted client books match line for line. The
+  // transport's message books differ by exactly the retained-topic transfer
+  // (DESIGN.md §12, divergence 4): moving cohorts re-homes the joiner's
+  // topic-A entry with one kUnsubscribe and one kSubscribe, which a
+  // per-client Subscriber never sends.
+  const auto books = [](sim::LiveSystem& sys) {
+    std::istringstream rendered(sim::collect_metrics(sys).render());
+    std::string kept;
+    for (std::string line; std::getline(rendered, line);) {
+      if (!line.starts_with("transport.messages_")) kept += line + '\n';
+    }
+    return kept;
+  };
+  EXPECT_EQ(books(cohorts), books(reference));
+  EXPECT_EQ(cohorts.transport().sent_count(),
+            reference.transport().sent_count() + 2);
 }
 
 }  // namespace

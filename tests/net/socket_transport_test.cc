@@ -3,8 +3,14 @@
 // loops from the test thread.
 #include "net/socket_transport.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <vector>
 
 namespace multipub::net {
@@ -31,6 +37,43 @@ bool pump(std::vector<SocketTransport*> nodes, Pred pred,
   }
   return pred();
 }
+
+/// Raw blocking loopback socket with no framing logic of its own: stands in
+/// for a peer that writes whatever bytes it likes.
+class RawPeer {
+ public:
+  explicit RawPeer(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    connected_ =
+        fd_ >= 0 &&
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+  }
+  ~RawPeer() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawPeer(const RawPeer&) = delete;
+  RawPeer& operator=(const RawPeer&) = delete;
+
+  [[nodiscard]] bool connected() const { return connected_; }
+  [[nodiscard]] bool write(const std::vector<std::byte>& bytes) {
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+  /// True once the other end closed the connection (EOF or reset).
+  [[nodiscard]] bool closed_by_peer() const {
+    char byte = 0;
+    const ssize_t n = ::recv(fd_, &byte, 1, MSG_DONTWAIT);
+    return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+};
 
 TEST(SocketTransport, WallClockAdvances) {
   SocketTransport transport;
@@ -180,6 +223,54 @@ TEST(SocketTransport, DrainReportsIdleOnceTrafficStops) {
          publication(1));
   ASSERT_TRUE(pump({&a, &b}, [&] { return got == 1; }));
   EXPECT_TRUE(b.drain(/*idle_ms=*/30.0, /*budget_ms=*/2000.0));
+}
+
+TEST(SocketTransport, MalformedInboundStreamClosesOnlyThatConnection) {
+  SocketTransport good;    // node 0: a well-behaved peer
+  SocketTransport server;  // node 1
+  good.set_self_node(0);
+  server.set_self_node(1);
+  const auto resolver = [](Address to) { return to.id; };
+  good.set_address_resolver(resolver);
+  server.set_address_resolver(resolver);
+  ASSERT_TRUE(server.listen(0));
+  good.add_peer(1, server.port());
+
+  std::vector<wire::Message> inbox;
+  server.register_handler(Address::region(RegionId{1}),
+                          [&](const wire::Message& m) { inbox.push_back(m); });
+  const auto send_good = [&](std::uint64_t seq) {
+    good.send(Address::region(RegionId{0}), Address::region(RegionId{1}),
+              publication(seq));
+  };
+  send_good(0);
+  ASSERT_TRUE(pump({&good, &server}, [&] { return inbox.size() == 1; }));
+
+  // One full record's worth of bytes each (12-byte envelope + codec frame):
+  // garbage the codec rejects, then a valid frame behind a zeroed envelope.
+  constexpr std::size_t kEnvelopeBytes = 12;
+  const std::vector<std::byte> garbage(kEnvelopeBytes + wire::kEncodedSize,
+                                       std::byte{0xFF});
+  std::vector<std::byte> bad_envelope(kEnvelopeBytes, std::byte{0});
+  const wire::EncodedMessage frame = wire::encode(publication(99));
+  bad_envelope.insert(bad_envelope.end(), frame.begin(), frame.end());
+
+  std::uint64_t seq = 1;
+  for (const auto& bytes : {garbage, bad_envelope}) {
+    RawPeer raw(server.port());
+    ASSERT_TRUE(raw.connected());
+    ASSERT_TRUE(raw.write(bytes));
+    EXPECT_TRUE(pump({&good, &server}, [&] { return raw.closed_by_peer(); }))
+        << "malformed connection left open";
+    // The same transport keeps serving the well-behaved peer.
+    send_good(seq);
+    ASSERT_TRUE(
+        pump({&good, &server}, [&] { return inbox.size() == seq + 1; }));
+    EXPECT_EQ(inbox.back().seq, seq);
+    ++seq;
+  }
+  EXPECT_EQ(server.stats().frames_received, inbox.size());
+  EXPECT_EQ(server.delivered_count(), inbox.size());
 }
 
 }  // namespace

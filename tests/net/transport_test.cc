@@ -259,6 +259,43 @@ TEST_F(TransportTest, SendBatchMatchesPerTargetSendLoopExactly) {
                    reference.topic_cost(TopicId{0}));
 }
 
+TEST_F(TransportTest, PerTopicCostsSumToTheLedgerTotal) {
+  // Two topics fanned out through one transport: each is attributed only
+  // its own billed bytes, and the attributions add up to the ledger.
+  for (ClientId c : {TinyWorld::kNearA, TinyWorld::kNearB, TinyWorld::kNearC}) {
+    transport_.register_handler(Address::client(c),
+                                [](const wire::Message&) {});
+  }
+  transport_.register_handler(Address::region(TinyWorld::kB),
+                              [](const wire::Message&) {});
+
+  // Topic 0: forwarded A -> B, then delivered from B to two clients.
+  wire::Message alerts = publication(512);
+  alerts.type = wire::MessageType::kForward;
+  transport_.send(Address::region(TinyWorld::kA),
+                  Address::region(TinyWorld::kB), alerts);
+  const std::vector<Address> alert_targets = {
+      Address::client(TinyWorld::kNearA), Address::client(TinyWorld::kNearB)};
+  transport_.send_batch(Address::region(TinyWorld::kB), alert_targets, alerts,
+                        wire::MessageType::kDeliver);
+  // Topic 1: delivered straight from C to its one local client.
+  wire::Message game = publication(2048);
+  game.topic = TopicId{1};
+  const std::vector<Address> game_targets = {
+      Address::client(TinyWorld::kNearC)};
+  transport_.send_batch(Address::region(TinyWorld::kC), game_targets, game,
+                        wire::MessageType::kDeliver);
+  sim_.run();
+
+  const Dollars alerts_cost = transport_.topic_cost(TopicId{0});
+  const Dollars game_cost = transport_.topic_cost(TopicId{1});
+  EXPECT_GT(alerts_cost, 0.0);
+  EXPECT_GT(game_cost, 0.0);
+  const Dollars total = transport_.ledger().total_cost(world_.catalog);
+  EXPECT_NEAR(alerts_cost + game_cost, total, 1e-12 * total);
+  EXPECT_NEAR(transport_.topic_cost_total(), total, 1e-12 * total);
+}
+
 TEST_F(TransportTest, SendBatchFromDownRegionDropsEverythingUnbilled) {
   transport_.set_region_down(TinyWorld::kA, true);
   const std::vector<Address> targets = {Address::client(TinyWorld::kNearA),

@@ -2,14 +2,16 @@
 //
 // Round-trips every MessageType — including the weighted cohort messages
 // and the node-lifecycle protocol — across boundary weights and sequence
-// numbers, first through the codec directly and then through a real
-// TcpEndpoint loopback pair, so a field added to Message but forgotten in
-// the codec (the fate of `weight` before v3) fails here immediately.
+// numbers, first through the codec directly and then between two
+// SocketTransport nodes over real loopback TCP (the production envelope,
+// pooled send segments and StreamDecoder), so a field added to Message but
+// forgotten in the codec (the fate of `weight` before v3) fails here
+// immediately.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "net/tcp.h"
+#include "net/socket_transport.h"
 #include "wire/codec.h"
 #include "wire/message.h"
 
@@ -127,22 +129,31 @@ TEST(CodecProperty, WeightSurvivesTheWire) {
 TEST(CodecProperty, EveryKindAndBoundaryRoundTripsThroughALoopbackPair) {
   const std::vector<Message> sent = boundary_messages();
 
+  // Node 0 sends from a client address (never billed) to region 1, which
+  // the resolver places on node 1: every message crosses the socket.
+  net::SocketTransport sender;
+  net::SocketTransport receiver;
+  sender.set_self_node(0);
+  receiver.set_self_node(1);
+  const auto resolver = [](net::Address to) { return to.id; };
+  sender.set_address_resolver(resolver);
+  receiver.set_address_resolver(resolver);
+  ASSERT_TRUE(receiver.listen(0));
+  sender.add_peer(1, receiver.port());
+
+  const net::Address to = net::Address::region(RegionId{1});
   std::vector<Message> inbox;
-  net::TcpEndpoint server([&](const Message& m) { inbox.push_back(m); });
-  ASSERT_TRUE(server.listen(0));
-  net::TcpEndpoint client([](const Message&) {});
-  const int peer = client.connect_to(server.port());
-  ASSERT_GE(peer, 0);
+  receiver.register_handler(to, [&](const Message& m) { inbox.push_back(m); });
 
   for (const Message& msg : sent) {
-    ASSERT_TRUE(client.send(peer, msg));
+    sender.send(net::Address::client(ClientId{0}), to, msg);
   }
   for (int round = 0; round < 2000 && inbox.size() < sent.size(); ++round) {
-    client.poll(5);
-    server.poll(5);
+    sender.poll_once(1);
+    receiver.poll_once(1);
   }
   ASSERT_EQ(inbox.size(), sent.size());
-  EXPECT_EQ(server.corrupt_frames(), 0u);
+  EXPECT_EQ(receiver.stats().frames_received, sent.size());
   for (std::size_t i = 0; i < sent.size(); ++i) {
     ASSERT_EQ(inbox[i], sent[i]) << "index " << i;
   }

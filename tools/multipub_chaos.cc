@@ -56,10 +56,9 @@ Workload:
 
 Paths under test:
   --incremental on|off     control-plane pipeline (default on)
-  --fast-path on|off       data-plane scheduling path (default on)
-  --shards K               data-plane worker threads (default 1; K > 1
-                           requires --fast-path on and K <= regions; the
-                           report must be byte-identical for every K)
+  --shards K               data-plane worker threads (default 1; K <=
+                           regions; the report must be byte-identical for
+                           every K)
   --shard-placement P      region-to-shard placement for K > 1:
                            round-robin | topology (default topology)
   --window-policy P        sharded window sizing: fixed | adaptive
@@ -93,12 +92,12 @@ int main(int argc, char** argv) {
     usage();
     return 0;
   }
-  // A mistyped flag (--shard, --fastpath, ...) must fail loudly, not run a
+  // A mistyped flag (--shard, --cohort, ...) must fail loudly, not run a
   // different campaign than the one asked for.
   flags.allow_only({
       "help", "seed", "rounds", "faults", "interval", "rate", "k",
       "no-shrink", "schedule", "print-schedule", "scenario", "incremental",
-      "fast-path", "shards", "shard-placement", "window-policy", "reliable",
+      "shards", "shard-placement", "window-policy", "reliable",
       "break-outage-exclusion", "freeze-control-plane", "break-replay",
       "break-dedup", "break-state-sync",
   });
@@ -117,14 +116,11 @@ int main(int argc, char** argv) {
       flags.get_bool("break-outage-exclusion", false);
   options.freeze_control_plane = flags.get_bool("freeze-control-plane", false);
   const std::string incremental = flags.get("incremental", "on");
-  const std::string fast_path = flags.get("fast-path", "on");
-  if ((incremental != "on" && incremental != "off") ||
-      (fast_path != "on" && fast_path != "off")) {
-    std::fprintf(stderr, "--incremental / --fast-path must be 'on' or 'off'\n");
+  if (incremental != "on" && incremental != "off") {
+    std::fprintf(stderr, "--incremental must be 'on' or 'off'\n");
     return 2;
   }
   options.incremental = incremental == "on";
-  options.fast_path = fast_path == "on";
   const std::string reliable = flags.get("reliable", "off");
   if (reliable != "on" && reliable != "off") {
     std::fprintf(stderr, "--reliable must be 'on' or 'off'\n");
@@ -145,13 +141,6 @@ int main(int argc, char** argv) {
   const long shards = flags.get_int("shards", 1);
   if (shards < 1) {
     std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
-  }
-  if (shards > 1 && !options.fast_path) {
-    std::fprintf(stderr,
-                 "--shards %ld requires --fast-path on: the seed scheduling "
-                 "path only exists single-threaded\n",
-                 shards);
     return 2;
   }
   options.shards = static_cast<std::uint32_t>(shards);

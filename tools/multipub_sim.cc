@@ -75,14 +75,9 @@ Validation:
                            and print measured vs. analytic numbers
   --incremental on|off     with --live: incremental (dirty-topic) control
                            plane vs. the full-scan reference (default on)
-  --fast-path on|off       with --live: typed-event data-plane scheduling
-                           vs. the seed's std::function-per-hop reference
-                           (default on)
   --shards K               with --live: run the data plane on K worker
                            threads (conservative time windows, DESIGN.md
-                           §11; default 1; K > 1 requires --fast-path on
-                           and K <= regions)
-  --threads K              alias for --shards
+                           §11; default 1; K <= regions)
   --shard-placement P      with --shards: region-to-shard placement,
                            round-robin | topology (default topology,
                            DESIGN.md §14; never changes observables)
@@ -93,8 +88,7 @@ Validation:
                            share their original's exact latency row and
                            home region; publishers are untouched)
   --cohorts on|off         with --live: fold the subscribers into weighted
-                           cohorts (DESIGN.md §12; default off; requires
-                           --fast-path on)
+                           cohorts (DESIGN.md §12; default off)
   --quantize-ms MS         with --cohorts on: quantize client latency rows
                            to MS-wide buckets before folding, so
                            near-identical clients merge too (default 0 =
@@ -126,14 +120,14 @@ int main(int argc, char** argv) {
     return 0;
   }
   // Anything outside this vocabulary is an error: a mistyped toggle (e.g.
-  // --shard=4 or --fastpath off) must not silently fall back to defaults.
+  // --shard=4 or --cohort on) must not silently fall back to defaults.
   flags.allow_only({
       "help", "scenario", "pubs-per-region", "subs-per-region", "placement",
       "rate", "size", "interval", "ratio", "max-t", "sweep", "mode",
       "heuristic", "exact-list", "synthetic-regions", "modern-aws", "seed",
-      "latencies", "dump-latencies", "live", "incremental", "fast-path",
-      "shards", "threads", "shard-placement", "window-policy", "clients",
-      "cohorts", "quantize-ms", "reliable", "explain", "metrics",
+      "latencies", "dump-latencies", "live", "incremental", "shards",
+      "shard-placement", "window-policy", "clients", "cohorts",
+      "quantize-ms", "reliable", "explain", "metrics",
   });
 
   const long seed = flags.get_int("seed", 2017);
@@ -339,31 +333,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--incremental must be 'on' or 'off'\n");
     return 2;
   }
-  const std::string fast_path = flags.get("fast-path", "on");
-  if (fast_path != "on" && fast_path != "off") {
-    std::fprintf(stderr, "--fast-path must be 'on' or 'off'\n");
-    return 2;
-  }
-  // --threads is an alias for --shards; when both appear they must agree —
-  // picking one silently would make the other a no-op.
-  const long shards_flag = flags.get_int("shards", 0);
-  const long threads_flag = flags.get_int("threads", 0);
-  if (shards_flag > 0 && threads_flag > 0 && shards_flag != threads_flag) {
-    std::fprintf(stderr, "--shards %ld and --threads %ld disagree\n",
-                 shards_flag, threads_flag);
-    return 2;
-  }
-  const long shards = shards_flag > 0 ? shards_flag : threads_flag;
-  if (shards < 0 || (flags.has("shards") && shards_flag < 1) ||
-      (flags.has("threads") && threads_flag < 1)) {
-    std::fprintf(stderr, "--shards/--threads must be >= 1\n");
-    return 2;
-  }
-  if (shards > 1 && fast_path == "off") {
-    std::fprintf(stderr,
-                 "--shards %ld requires --fast-path on: the seed scheduling "
-                 "path only exists single-threaded\n",
-                 shards);
+  const long shards = flags.get_int("shards", 0);
+  if (flags.has("shards") && shards < 1) {
+    std::fprintf(stderr, "--shards must be >= 1\n");
     return 2;
   }
   // Empty shards would still pay every barrier round; the placement cannot
@@ -395,12 +367,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--cohorts must be 'on' or 'off'\n");
     return 2;
   }
-  if (cohorts == "on" && fast_path == "off") {
-    std::fprintf(stderr,
-                 "--cohorts on requires --fast-path on: weighted flock "
-                 "events only exist on the typed-event plane\n");
-    return 2;
-  }
   const double quantize_ms = flags.get_double("quantize-ms", 0.0);
   if (flags.has("quantize-ms") && quantize_ms < 0.0) {
     std::fprintf(stderr, "--quantize-ms must be >= 0\n");
@@ -422,13 +388,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--reliable must be 'on' or 'off'\n");
     return 2;
   }
-  if ((shards > 1 || flags.has("fast-path") || flags.has("cohorts") ||
+  if ((shards > 1 || flags.has("cohorts") ||
        flags.has("clients") || flags.has("shard-placement") ||
        flags.has("window-policy") || flags.has("reliable")) &&
       !flags.get_bool("live", false)) {
     std::fprintf(stderr,
-                 "--shards/--threads/--shard-placement/--window-policy/"
-                 "--fast-path/--cohorts/--clients/--reliable only apply to "
+                 "--shards/--shard-placement/--window-policy/--cohorts/"
+                 "--clients/--reliable only apply to "
                  "the live middleware: add --live\n");
     return 2;
   }
@@ -546,7 +512,6 @@ int main(int argc, char** argv) {
     }
     sim::LiveSystem live(scenario);
     live.set_incremental(incremental == "on");
-    live.set_data_plane_fast_path(fast_path == "on");
     if (cohorts == "on") live.set_cohorts(true, quantize_ms);
     live.set_shard_placement(*shard_placement);
     live.set_window_policy(window_policy);
@@ -567,15 +532,13 @@ int main(int argc, char** argv) {
         round.dirty, round.evaluated, round.skipped_clean);
     if (cohorts == "on") {
       std::printf(
-          "  data plane: %s scheduling, %u shard(s), %zu subscribers in %zu "
-          "cohort(s) (%.0fms buckets)\n",
-          fast_path == "on" ? "fast-path" : "legacy", live.shards(),
-          scenario.topic.subscribers.size(),
+          "  data plane: %u shard(s), %zu subscribers in %zu cohort(s) "
+          "(%.0fms buckets)\n",
+          live.shards(), scenario.topic.subscribers.size(),
           live.cohort_pool()->cohort_count(), quantize_ms);
     } else {
-      std::printf("  data plane: %s scheduling, %u shard(s), per-client "
-                  "subscribers\n",
-                  fast_path == "on" ? "fast-path" : "legacy", live.shards());
+      std::printf("  data plane: %u shard(s), per-client subscribers\n",
+                  live.shards());
     }
     std::printf("  measured  : p=%.1fms  $%.2f/day  (%llu deliveries)\n",
                 run.percentile, run.cost_per_day,
