@@ -16,6 +16,9 @@ constexpr std::size_t kArity = 4;
 // enough that the near heap's sift path stays in L1/L2.
 constexpr std::size_t kBucketTarget = 2048;
 constexpr std::size_t kMaxBuckets = 8192;
+// A promoted bucket above this size gets a child rung instead of going
+// straight into the near heap.
+constexpr std::size_t kSpawnThreshold = 2 * kBucketTarget;
 
 /// One spin-wait pause: keeps the core's speculative pipeline calm (and on
 /// SMT hands cycles to the sibling) without giving up the time slice.
@@ -30,9 +33,6 @@ inline void cpu_relax() {
 }
 }  // namespace
 
-thread_local Simulator::EventStore* Simulator::tls_store_ = nullptr;
-thread_local std::uint32_t Simulator::tls_shard_ = 0;
-
 void Simulator::EventStore::heap_push(const CompactEvent& event) {
   std::size_t i = heap_.size();
   heap_.push_back(event);
@@ -46,33 +46,7 @@ void Simulator::EventStore::heap_push(const CompactEvent& event) {
   heap_[i] = event;
 }
 
-void Simulator::EventStore::far_push(const CompactEvent& event) {
-  ++compact_pending_;
-  if (rung_count_ > 0) {
-    // Compare in double first: casting an out-of-range value to size_t is
-    // UB, and a pathological far-future timestamp must simply go to top_.
-    const double idx_d = (event.time - rung_start_) / rung_width_;
-    if (idx_d < 0.0) {
-      // Legal after run_until stops short of the rung's coverage (the rung
-      // was built from far-future events, then the clock was advanced to a
-      // time below rung_start_): a new event may land before the rung
-      // entirely. It precedes every rung/top event, so the near heap is its
-      // ordering-preserving home — and the cast below stays in range.
-      heap_push(event);
-      return;
-    }
-    if (idx_d < static_cast<double>(rung_count_)) {
-      const auto idx = static_cast<std::size_t>(idx_d);
-      if (idx < rung_cur_) {
-        // Its bucket has already been promoted — the near heap is now the
-        // only store allowed to hold it.
-        heap_push(event);
-      } else {
-        rung_[idx].push_back(event);
-      }
-      return;
-    }
-  }
+void Simulator::EventStore::push_top(const CompactEvent& event) {
   if (top_.empty()) {
     top_min_ = event.time;
     top_max_ = event.time;
@@ -83,28 +57,71 @@ void Simulator::EventStore::far_push(const CompactEvent& event) {
   top_.push_back(event);
 }
 
+void Simulator::EventStore::far_push(const CompactEvent& event) {
+  ++compact_pending_;
+  if (depth_ == 0) {
+    push_top(event);
+    return;
+  }
+  for (std::size_t level = 0;; ++level) {
+    Rung& rung = rungs_[level];
+    // Compare in double first: casting an out-of-range value to size_t is
+    // UB, and a pathological far-future timestamp must simply go to top_.
+    const double idx_d = (event.time - rung.start) / rung.width;
+    // Below the rung's start. At the first rung this is legal after
+    // run_until stops short of its coverage (the clock was advanced to a
+    // time below its start); at a child rung the parent's bucket simply
+    // starts below the earliest event the child was spread from. Either
+    // way the event precedes everything this rung and its children hold,
+    // so the near heap is its ordering-preserving home.
+    if (idx_d < 0.0) break;
+    std::size_t idx = rung.count - 1;
+    if (idx_d < static_cast<double>(rung.count)) {
+      idx = static_cast<std::size_t>(idx_d);
+    } else if (level == 0) {
+      // Beyond the first rung's coverage. The top list keeps the exact
+      // boundary (no clamping), so top events never precede rung events.
+      push_top(event);
+      return;
+    }
+    // (A child rung clamps: the parent's floor already placed the event in
+    // the child's domain, and its last bucket is still monotone.)
+    if (idx >= rung.cur) {
+      rung.buckets[idx].push_back(event);
+      return;
+    }
+    // Its bucket has been promoted: if that bucket became the next rung,
+    // descend into it; otherwise the near heap is now the only store
+    // allowed to hold the event.
+    if (idx + 1 != rung.cur || level + 1 == depth_) break;
+  }
+  heap_push(event);
+}
+
 void Simulator::EventStore::build_rung() {
   // One pass: distribute the top list over constant-width buckets sized so
   // a bucket holds ~kBucketTarget events. Width 0 (all-equal timestamps)
   // degenerates to a single bucket. The mapping here must be the EXACT
   // computation far_push uses, so an event at the coverage boundary (FP
-  // rounding can push floor((max-start)/width) to rung_count_) stays in the
-  // top list rather than being force-clamped into the last bucket — that
-  // keeps "top events never precede bucket events" airtight. At least the
+  // rounding can push floor((max-start)/width) to count) stays in the top
+  // list rather than being force-clamped into the last bucket — that keeps
+  // "top events never precede bucket events" airtight. At least the
   // top-minimum always lands in bucket 0, so the rebuild loop terminates.
-  rung_count_ = std::clamp<std::size_t>(top_.size() / kBucketTarget + 1, 1,
-                                        kMaxBuckets);
-  if (rung_.size() < rung_count_) rung_.resize(rung_count_);
-  rung_start_ = top_min_;
-  rung_width_ = (top_max_ - top_min_) / static_cast<double>(rung_count_);
-  if (!(rung_width_ > 0.0)) rung_width_ = 1.0;
-  rung_cur_ = 0;
+  Rung& rung = rungs_[0];
+  depth_ = 1;
+  rung.count = std::clamp<std::size_t>(top_.size() / kBucketTarget + 1, 1,
+                                       kMaxBuckets);
+  if (rung.buckets.size() < rung.count) rung.buckets.resize(rung.count);
+  rung.start = top_min_;
+  rung.width = (top_max_ - top_min_) / static_cast<double>(rung.count);
+  if (!(rung.width > 0.0)) rung.width = 1.0;
+  rung.cur = 0;
   std::size_t kept = 0;
   Millis kept_min = 0.0, kept_max = 0.0;
   for (const CompactEvent& event : top_) {
-    const double idx_d = (event.time - rung_start_) / rung_width_;
-    if (idx_d < static_cast<double>(rung_count_)) {
-      rung_[static_cast<std::size_t>(idx_d)].push_back(event);
+    const double idx_d = (event.time - rung.start) / rung.width;
+    if (idx_d < static_cast<double>(rung.count)) {
+      rung.buckets[static_cast<std::size_t>(idx_d)].push_back(event);
       continue;
     }
     if (kept == 0) {
@@ -121,12 +138,67 @@ void Simulator::EventStore::build_rung() {
   top_max_ = kept_max;
 }
 
+void Simulator::EventStore::promote_bucket() {
+  Rung& rung = rungs_[depth_ - 1];
+  std::vector<CompactEvent>& bucket = rung.buckets[rung.cur];
+  ++rung.cur;
+  if (bucket.size() > kSpawnThreshold && depth_ < kMaxRungs) {
+    Millis lo = bucket.front().time;
+    Millis hi = lo;
+    for (const CompactEvent& event : bucket) {
+      lo = std::min(lo, event.time);
+      hi = std::max(hi, event.time);
+    }
+    Rung& child = rungs_[depth_];
+    child.count = std::min(bucket.size() / kBucketTarget + 1, kMaxBuckets);
+    child.width = (hi - lo) / static_cast<double>(child.count);
+    // All-equal times (or a span too small to split) cannot be spread:
+    // such a bucket is heapified whole.
+    if (child.width > 0.0) {
+      if (child.buckets.size() < child.count) {
+        child.buckets.resize(child.count);
+      }
+      child.start = lo;
+      child.cur = 0;
+      ++depth_;
+      // Same floor as far_push, clamped: FP rounding can map `hi` to count.
+      for (const CompactEvent& event : bucket) {
+        const auto idx = std::min(
+            static_cast<std::size_t>((event.time - lo) / child.width),
+            child.count - 1);
+        child.buckets[idx].push_back(event);
+      }
+      bucket.clear();
+      return;
+    }
+  }
+  // These events dispatch next. Fetch their records, then the messages
+  // the records name, for the whole bucket at once: the misses overlap
+  // instead of stalling one dispatch each.
+  for (const CompactEvent& event : bucket) {
+    if (event.kind() == kKindDelivery) {
+      __builtin_prefetch(&deliveries_[event.slot()]);
+    }
+  }
+  for (const CompactEvent& event : bucket) {
+    if (event.kind() == kKindDelivery) {
+      __builtin_prefetch(&payloads_[deliveries_[event.slot()].payload]);
+    }
+    heap_push(event);
+  }
+  bucket.clear();
+}
+
 void Simulator::EventStore::refill() {
   while (heap_.empty()) {
-    if (rung_cur_ < rung_count_) {
-      for (const CompactEvent& event : rung_[rung_cur_]) heap_push(event);
-      rung_[rung_cur_].clear();
-      ++rung_cur_;
+    if (depth_ > 0 && rungs_[depth_ - 1].cur < rungs_[depth_ - 1].count) {
+      promote_bucket();
+      continue;
+    }
+    if (depth_ > 1) {
+      // An exhausted child rung: its whole domain has reached the near
+      // heap, so its parent's promoted bucket is now simply promoted.
+      --depth_;
       continue;
     }
     if (top_.empty()) return;  // fully drained
@@ -158,45 +230,34 @@ Simulator::CompactEvent Simulator::EventStore::heap_pop() {
   return top;
 }
 
-std::uint32_t Simulator::EventStore::acquire_action_slot() {
-  if (!action_free_.empty()) {
-    const std::uint32_t slot = action_free_.back();
-    action_free_.pop_back();
-    return slot;
-  }
-  // Slot ids must fit CompactEvent's 24-bit field (16M concurrent events).
-  MP_EXPECTS(action_pool_.size() < (1u << CompactEvent::kSlotBits));
-  action_pool_.emplace_back();
-  return static_cast<std::uint32_t>(action_pool_.size() - 1);
-}
-
-std::uint32_t Simulator::EventStore::acquire_delivery_slot() {
-  if (!delivery_free_.empty()) {
-    const std::uint32_t slot = delivery_free_.back();
-    delivery_free_.pop_back();
-    return slot;
-  }
-  MP_EXPECTS(delivery_pool_.size() < (1u << CompactEvent::kSlotBits));
-  delivery_pool_.emplace_back();
-  return static_cast<std::uint32_t>(delivery_pool_.size() - 1);
-}
-
 void Simulator::EventStore::insert_action(Millis t, Simulator::Action action) {
-  const std::uint32_t slot = acquire_action_slot();
-  action_pool_[slot] = std::move(action);
+  const std::uint32_t slot = actions_.acquire();
+  actions_[slot] = std::move(action);
   far_push(CompactEvent::make(t, seq++, kKindAction, slot));
 }
 
-void Simulator::EventStore::insert_delivery(Millis t, DeliverySink& sink,
-                                            Address from, Address to,
-                                            const wire::Message& msg) {
-  const std::uint32_t slot = acquire_delivery_slot();
-  DeliveryEvent& event = delivery_pool_[slot];
-  event.sink = &sink;
-  event.from = from;
-  event.to = to;
-  event.msg = msg;
+std::uint32_t Simulator::EventStore::intern(const wire::Message& msg) {
+  const std::uint32_t slot = payloads_.acquire();
+  payloads_[slot] = SharedPayload{msg, 0};
+  return slot;
+}
+
+void Simulator::EventStore::insert_record(Millis t,
+                                          const DeliveryRecord& record) {
+  ++payloads_[record.payload].refs;
+  const std::uint32_t slot = deliveries_.acquire();
+  deliveries_[slot] = record;
   far_push(CompactEvent::make(t, seq++, kKindDelivery, slot));
+}
+
+void Simulator::EventStore::insert_delivery(Millis t, DeliveryRecord record,
+                                            const SharedMessage& shared) {
+  if (shared.id != share_id_) {
+    share_slot_ = intern(*shared.msg);
+    share_id_ = shared.id;
+  }
+  record.payload = share_slot_;
+  insert_record(t, record);
 }
 
 Millis Simulator::EventStore::next_time() {
@@ -213,17 +274,27 @@ void Simulator::EventStore::dispatch_one() {
   if (event.kind() == kKindAction) {
     // Move the callback out and release the slot before invoking: the
     // action may schedule new events, growing or reusing the pool.
-    Action action = std::move(action_pool_[slot]);
-    action_pool_[slot] = nullptr;
-    action_free_.push_back(slot);
+    Action action = std::move(actions_[slot]);
+    actions_[slot] = nullptr;
+    actions_.release(slot);
     action();
-  } else {
-    // Trivially-copyable payload: a stack copy keeps the dispatch safe
-    // against pool reallocation when the handler schedules further hops.
-    const DeliveryEvent delivery = delivery_pool_[slot];
-    delivery_free_.push_back(slot);
-    delivery.sink->deliver(delivery);
+    return;
   }
+  // Rebuild the hop on the stack and release both slots before invoking:
+  // the handler may schedule further hops, reusing either slot or growing
+  // either pool.
+  const DeliveryRecord record = deliveries_[slot];
+  deliveries_.release(slot);
+  SharedPayload& shared = payloads_[record.payload];
+  DeliveryEvent delivery{record.sink, record.from, record.to, shared.msg};
+  delivery.msg.subscriber = record.subscriber;
+  delivery.msg.weight = record.weight;
+  if (--shared.refs == 0) {
+    payloads_.release(record.payload);
+    // A recycled slot must not be mistaken for the cached fan-out's.
+    if (record.payload == share_slot_) share_id_ = kNoShare;
+  }
+  record.sink->deliver(delivery);
 }
 
 Simulator::~Simulator() { shutdown_workers(); }
@@ -262,7 +333,7 @@ void Simulator::configure_shards(ShardMap map, Millis lookahead) {
   stores_.clear();
   stores_.reserve(k);
   for (std::uint32_t i = 0; i < k; ++i) {
-    stores_.push_back(std::make_unique<EventStore>());
+    stores_.push_back(std::make_unique<EventStore>(i));
     stores_.back()->clock = now_;
   }
   mail_.assign(static_cast<std::size_t>(k) * k, Mailbox{});
@@ -397,36 +468,62 @@ void Simulator::schedule_after(Millis delay, Action action) {
   schedule_at(now() + delay, std::move(action));
 }
 
+Simulator::SharedMessage Simulator::share(const wire::Message& msg) {
+  std::uint64_t& next = tls_store_ != nullptr ? tls_store_->next_share
+                                              : next_share_;
+  return {&msg, next++};
+}
+
 void Simulator::schedule_delivery_at(Millis t, DeliverySink& sink,
                                      Address from, Address to,
-                                     const wire::Message& msg) {
+                                     const SharedMessage& shared,
+                                     ClientId subscriber,
+                                     std::uint32_t weight) {
   MP_EXPECTS(t >= now());
   MP_EXPECTS(!legacy_);
+  const DeliveryRecord record{&sink, from, to, subscriber, weight, 0};
   if (!sharded()) {
-    stores_[0]->insert_delivery(t, sink, from, to, msg);
+    stores_[0]->insert_delivery(t, record, shared);
     return;
   }
   const std::uint32_t dst = map_.shard_of(to);
   if (tls_store_ == nullptr) {
     // No window running (control plane, test setup): every store is
     // quiescent, insert straight into the owner's.
-    stores_[dst]->insert_delivery(t, sink, from, to, msg);
+    stores_[dst]->insert_delivery(t, record, shared);
     return;
   }
   if (dst == tls_shard_) {
-    tls_store_->insert_delivery(t, sink, from, to, msg);
+    tls_store_->insert_delivery(t, record, shared);
     return;
   }
   // Cross-shard: park in the (src, dst) mailbox until the window barrier.
   mail_[static_cast<std::size_t>(tls_shard_) * stores_.size() + dst].push(
-      MailItem{t, DeliveryEvent{&sink, from, to, msg}});
+      t, record, shared);
+}
+
+void Simulator::schedule_delivery_after(Millis delay, DeliverySink& sink,
+                                        Address from, Address to,
+                                        const SharedMessage& shared,
+                                        ClientId subscriber,
+                                        std::uint32_t weight) {
+  MP_EXPECTS(delay >= 0.0);
+  schedule_delivery_at(now() + delay, sink, from, to, shared, subscriber,
+                       weight);
+}
+
+void Simulator::schedule_delivery_at(Millis t, DeliverySink& sink,
+                                     Address from, Address to,
+                                     const wire::Message& msg) {
+  schedule_delivery_at(t, sink, from, to, share(msg), msg.subscriber,
+                       msg.weight);
 }
 
 void Simulator::schedule_delivery_after(Millis delay, DeliverySink& sink,
                                         Address from, Address to,
                                         const wire::Message& msg) {
-  MP_EXPECTS(delay >= 0.0);
-  schedule_delivery_at(now() + delay, sink, from, to, msg);
+  schedule_delivery_after(delay, sink, from, to, share(msg), msg.subscriber,
+                          msg.weight);
 }
 
 bool Simulator::step() {
@@ -477,8 +574,15 @@ void Simulator::drain_all_inboxes() {
         // destination's window end is bounded by every busy shard's horizon
         // plus the lookahead closure — see plan_round).
         MP_EXPECTS(item.time >= window_end_[dst]);
-        store.insert_delivery(item.time, *item.event.sink, item.event.from,
-                              item.event.to, item.event.msg);
+        // A fan-out's message crossed once per mailbox; it takes one
+        // payload slot here, on its first delivery.
+        MailPayload& payload = box.payloads[item.record.payload];
+        if (payload.slot == Mailbox::kNoSlot) {
+          payload.slot = store.intern(payload.msg);
+        }
+        DeliveryRecord record = item.record;
+        record.payload = payload.slot;
+        store.insert_record(item.time, record);
       };
       for (std::vector<MailItem>& chunk : box.full) {
         for (const MailItem& item : chunk) insert(item);
@@ -490,6 +594,8 @@ void Simulator::drain_all_inboxes() {
       for (const MailItem& item : box.tail) insert(item);
       mail_items_ += box.tail.size();
       box.tail.clear();
+      box.payloads.clear();
+      box.share_id = kNoShare;
     }
   }
 }
@@ -552,7 +658,8 @@ void Simulator::serial_phase() {
 }
 
 std::uint32_t Simulator::arrive_and_wait(std::uint32_t shard,
-                                         std::uint32_t seen) {
+                                         std::uint32_t seen,
+                                         bool window_round) {
   if (arrivals_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
     // Last arriver. Everyone else is spinning or parked on epoch_, so the
     // reset cannot race a next-round arrival; the release bump below
@@ -563,7 +670,7 @@ std::uint32_t Simulator::arrive_and_wait(std::uint32_t shard,
     epoch_.notify_all();
     return seen + 1;
   }
-  return await_change(seen, shard);
+  return window_round ? await_change(seen, shard) : await_publication(seen);
 }
 
 std::uint32_t Simulator::await_change(std::uint32_t seen, std::uint32_t shard) {
@@ -627,11 +734,11 @@ void Simulator::worker_loop(std::uint32_t shard) {
       if (command == Command::kEndRun) {
         // Ack round: after it the driver owns command_ again and this
         // thread is back to waiting for a fresh publication.
-        seen = arrive_and_wait(shard, seen);
+        seen = arrive_and_wait(shard, seen, /*window_round=*/false);
         break;
       }
       run_window(shard);
-      seen = arrive_and_wait(shard, seen);
+      seen = arrive_and_wait(shard, seen, /*window_round=*/true);
     }
   }
 }
@@ -648,11 +755,11 @@ void Simulator::run_windows(Millis limit) {
   for (;;) {
     if (command_ == Command::kEndRun) {
       // Ack round: every worker has read kEndRun; command_ is ours again.
-      arrive_and_wait(0, seen);
+      arrive_and_wait(0, seen, /*window_round=*/false);
       return;
     }
     run_window(0);  // the driving thread doubles as shard 0's worker
-    seen = arrive_and_wait(0, seen);
+    seen = arrive_and_wait(0, seen, /*window_round=*/true);
   }
 }
 

@@ -7,12 +7,16 @@
 //
 // Two event representations share one (time, seq) order:
 //  - generic Actions (std::function) for control-plane callbacks, and
-//  - typed DeliveryEvents — one message hop, dispatched straight to the
+//  - typed deliveries — one message hop, dispatched straight to the
 //    transport that scheduled it — so the data plane never pays a heap
-//    allocation per hop: the queue holds a 16-byte handle and the payload
-//    lives in a recycled pool slot.
-// The seed's std::function-per-event engine is retained behind
-// set_legacy_scheduling(true) as the differential-test / benchmark
+//    allocation per hop. The queue holds a 16-byte handle; the handle names
+//    a compact per-target record (sink, endpoints, subscriber stamp,
+//    weight), and the record names a message stored ONCE per fan-out in a
+//    ref-counted payload slab (DESIGN.md §9). share() opens a fan-out; the
+//    single-message schedule_delivery_* forms are one-target fan-outs.
+// The queue itself is a multi-rung ladder queue feeding a small near heap
+// (see EventStore). The seed's std::function-per-event engine is retained
+// behind set_legacy_scheduling(true) as the differential-test / benchmark
 // reference; both engines consume one sequence counter per store, so
 // dispatch order is bit-identical between them.
 //
@@ -44,27 +48,31 @@
 // run/drain barrier pair.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/assert.h"
 #include "common/types.h"
 #include "net/address.h"
 #include "net/bus.h"
+#include "net/slot_pool.h"
 #include "wire/message.h"
 
 namespace multipub::net {
 
 class DeliverySink;
 
-/// One in-flight message hop: deliver `msg` (sent by `from`) to `to` via the
-/// transport that scheduled it. Plain trivially-copyable data — scheduling a
-/// delivery never touches the heap beyond the simulator's recycled pools.
+/// One message hop as its sink sees it: deliver `msg` (sent by `from`) to
+/// `to`. Not what the queue stores — the simulator rebuilds it on the stack
+/// at dispatch from the pooled per-target record and the fan-out's shared
+/// payload, stamping the record's `subscriber` and `weight` into `msg`.
 struct DeliveryEvent {
   DeliverySink* sink = nullptr;
   Address from;
@@ -139,7 +147,7 @@ class Simulator : public Clock {
  public:
   using Action = std::function<void()>;
 
-  Simulator() { stores_.push_back(std::make_unique<EventStore>()); }
+  Simulator() { stores_.push_back(std::make_unique<EventStore>(0)); }
   ~Simulator() override;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -167,16 +175,42 @@ class Simulator : public Clock {
   /// Schedules `action` `delay` ms from now. Pre: delay >= 0.
   void schedule_after(Millis delay, Action action) final;
 
-  /// Schedules a typed message delivery at absolute virtual time `t`; the
-  /// event is dispatched back to `sink` when it fires. Pre: t >= now() and
-  /// legacy scheduling is off (the legacy engine predates typed events).
-  /// In sharded mode the event is routed to the shard owning `to`: directly
-  /// into its store when the sender shares the shard (or no window is
-  /// running), through the sequenced mailbox otherwise.
+  /// Handle to one message shared by the deliveries of a fan-out (see
+  /// share()). `id` is unique per share() call, so the stores can tell
+  /// fan-outs apart without comparing messages.
+  struct SharedMessage {
+    const wire::Message* msg;
+    std::uint64_t id;
+  };
+
+  /// Opens a fan-out of `msg`: every delivery scheduled through the handle
+  /// carries `msg` with only `subscriber` and `weight` set per target. The
+  /// message is copied into a destination store's payload slab on the first
+  /// delivery routed there, once per store (or cross-shard mailbox), and
+  /// recycled when its last delivery dispatches. The handle is valid until
+  /// the calling event returns; `msg` must stay unchanged while it is used.
+  [[nodiscard]] SharedMessage share(const wire::Message& msg);
+
+  /// Schedules a typed delivery of `shared` at absolute virtual time `t`,
+  /// stamped with `subscriber` and `weight`; the event is dispatched back
+  /// to `sink` when it fires. Pre: t >= now() and legacy scheduling is off
+  /// (the legacy engine predates typed events). In sharded mode the event
+  /// is routed to the shard owning `to`: directly into its store when the
+  /// sender shares the shard (or no window is running), through the
+  /// sequenced mailbox otherwise.
   void schedule_delivery_at(Millis t, DeliverySink& sink, Address from,
-                            Address to, const wire::Message& msg);
+                            Address to, const SharedMessage& shared,
+                            ClientId subscriber, std::uint32_t weight);
 
   /// Same, `delay` ms from now. Pre: delay >= 0.
+  void schedule_delivery_after(Millis delay, DeliverySink& sink, Address from,
+                               Address to, const SharedMessage& shared,
+                               ClientId subscriber, std::uint32_t weight);
+
+  /// One-target forms: a fan-out of `msg` to `to` alone, keeping the
+  /// message's own subscriber and weight.
+  void schedule_delivery_at(Millis t, DeliverySink& sink, Address from,
+                            Address to, const wire::Message& msg);
   void schedule_delivery_after(Millis delay, DeliverySink& sink, Address from,
                                Address to, const wire::Message& msg);
 
@@ -253,8 +287,10 @@ class Simulator : public Clock {
   [[nodiscard]] std::uint64_t processed() const;
 
  private:
-  /// 16-byte queue entry of the default engine; the payload (an Action or a
-  /// DeliveryEvent) lives in the matching pool at index `slot`. seq, kind
+  friend struct SimulatorPeer;  // white-box ladder checks in the tests
+
+  /// 16-byte queue entry of the default engine; the event body (an Action or
+  /// a DeliveryRecord) lives in the matching pool at index `slot`. seq, kind
   /// and slot share one word: seq occupies the HIGH bits, so comparing the
   /// packed words compares seq — the FIFO tie-break for equal timestamps —
   /// and kind/slot below it never influence the order (seq is unique).
@@ -266,6 +302,7 @@ class Simulator : public Clock {
     static constexpr std::uint64_t kKindShift = kSlotBits;
     static constexpr std::uint64_t kSeqShift = kSlotBits + 1;
     static constexpr std::uint64_t kSeqBits = 64 - kSeqShift;  // 39
+    static_assert(kSlotBits == SlotPool<int>::kSlotBits);
 
     [[nodiscard]] static CompactEvent make(Millis time, std::uint64_t seq,
                                            std::uint32_t kind,
@@ -293,26 +330,62 @@ class Simulator : public Clock {
     return a.packed < b.packed;  // high bits are seq
   }
 
-  /// One shard's complete event state: the two-level store (see the member
-  /// comment below), the recycled payload pools, its own sequence counter
-  /// (assigned in insertion order, exactly as the single-threaded engine
-  /// would) and its clock. In single-threaded mode there is exactly one.
+  /// The pooled body of one typed delivery: everything that differs per
+  /// target. The message itself is the `payload` slot of the store's slab
+  /// (or, inside a Mailbox, the index into its `payloads`).
+  struct DeliveryRecord {
+    DeliverySink* sink;
+    Address from;
+    Address to;
+    ClientId subscriber;
+    std::uint32_t weight;
+    std::uint32_t payload;
+  };
+  /// One fan-out's message in a store's payload slab, shared by `refs`
+  /// pending deliveries and recycled when the last of them dispatches.
+  struct SharedPayload {
+    wire::Message msg;
+    std::uint32_t refs = 0;
+  };
+
+  /// No fan-out: the id of an empty share cache.
+  static constexpr std::uint64_t kNoShare = ~std::uint64_t{0};
+
+  /// One shard's complete event state: the ladder store (see the member
+  /// comment below), the recycled pools, its own sequence counter (assigned
+  /// in insertion order, exactly as the single-threaded engine would) and
+  /// its clock. In single-threaded mode there is exactly one.
   struct EventStore {
+    /// `shard` seeds the fan-out ids this store issues (see share()), so
+    /// they never collide with another shard's or the idle thread's.
+    explicit EventStore(std::uint32_t shard)
+        : next_share((std::uint64_t{shard} + 1) << 48) {}
+
     void heap_push(const CompactEvent& event);
     CompactEvent heap_pop();
     /// Routes a compact event to the near heap, a rung bucket, or the top
     /// list.
     void far_push(const CompactEvent& event);
-    /// Promotes rung buckets (rebuilding the rung from the top list when it
-    /// runs out) until the near heap has events or everything is drained.
+    void push_top(const CompactEvent& event);
+    /// Promotes buckets of the finest rung — spawning a child rung for an
+    /// oversized one, dropping exhausted child rungs, rebuilding the first
+    /// rung from the top list — until the near heap has events or
+    /// everything is drained.
     void refill();
     void build_rung();
+    /// Moves bucket `rungs_[depth_ - 1].cur` into the near heap, or spreads
+    /// it over a new child rung when it is too big to heapify cheaply.
+    void promote_bucket();
 
-    [[nodiscard]] std::uint32_t acquire_action_slot();
-    [[nodiscard]] std::uint32_t acquire_delivery_slot();
     void insert_action(Millis t, Simulator::Action action);
-    void insert_delivery(Millis t, DeliverySink& sink, Address from,
-                         Address to, const wire::Message& msg);
+    /// Copies `msg` into a fresh payload slot (no references yet).
+    [[nodiscard]] std::uint32_t intern(const wire::Message& msg);
+    /// Schedules `record` (whose `payload` names a live slot of this store).
+    void insert_record(Millis t, const DeliveryRecord& record);
+    /// Schedules `record` carrying `shared`, interning the message on the
+    /// fan-out's first delivery into this store.
+    void insert_delivery(Millis t, DeliveryRecord record,
+                         const SharedMessage& shared);
     /// Timestamp of the earliest pending event (kUnreachable when empty);
     /// refills the near heap as a side effect.
     [[nodiscard]] Millis next_time();
@@ -322,43 +395,72 @@ class Simulator : public Clock {
     Millis clock = 0.0;
     std::uint64_t seq = 0;
     std::uint64_t processed = 0;
+    /// Next fan-out id issued while this store's shard dispatches.
+    std::uint64_t next_share;
 
-    // Two-level event store for the default engine (a single-rung ladder
-    // queue). Pops are absorbed by a small NEAR heap (4-ary min-heap, stays
-    // cache-resident); far-future events wait unsorted — first in the TOP
-    // list, then distributed once into the RUNG's constant-width time
-    // buckets — and are only heapified when the horizon reaches their
-    // bucket. Every event is bucketed O(1) times, so the steady-state cost
-    // per event stays flat even with ~10^6 in flight (where a single big
-    // heap spends its time in cache misses).
+    // Ladder queue (Tang, Goh & Thng, ACM TOMACS 15(3), 2005) in front of a
+    // small NEAR heap (4-ary min-heap). Pops are served by the near heap;
+    // far-future events wait unsorted — first in the TOP list, then spread
+    // once over the first rung's constant-width time buckets — and are only
+    // heapified when the horizon reaches their bucket. A bucket that has
+    // grown too big to heapify cheaply (a fan-out burst landed in it) is not
+    // heapified but spread over a CHILD rung of finer buckets, down to
+    // kMaxRungs levels; so the near heap stays ~kBucketTarget entries and
+    // every event is bucketed O(depth) times, however the arrivals cluster.
     //
-    // Ordering stays EXACT: bucket_of(t) = floor((t - start) / width) is
-    // monotone in t under IEEE rounding (subtraction, division by a
-    // positive constant and floor are all monotone), so an event in a lower
-    // bucket never has a later time than one in a higher bucket, and the
-    // near heap — which always holds every not-yet-popped event of the
-    // buckets below rung_cur_ — contains the global minimum whenever it is
-    // non-empty. Ties are settled inside the near heap by the total
-    // (time, seq) order.
-    std::vector<CompactEvent> heap_;                // near events
-    std::vector<std::vector<CompactEvent>> rung_;   // reused bucket storage
-    std::vector<CompactEvent> top_;  // beyond the rung's coverage
-    std::size_t rung_count_ = 0;     // active buckets this generation
-    std::size_t rung_cur_ = 0;       // next bucket to promote
-    Millis rung_start_ = 0.0;
-    Millis rung_width_ = 1.0;
+    // Ordering stays EXACT. A rung's bucket_of(t) = floor((t - start) /
+    // width) is monotone in t under IEEE rounding (subtraction, division by
+    // a positive constant and floor are all monotone), so no event in a
+    // lower bucket is later than one in a higher bucket, and equal times
+    // always share a bucket. Rung i+1 covers exactly the events whose rung-i
+    // bucket is the one promoted last (cur - 1): membership is decided by
+    // rung i's own floor, never by the child's, so the child may clamp an
+    // FP-rounded index into its last bucket (still monotone) and send a time
+    // below its start to the near heap (it precedes everything the child
+    // holds). far_push walks the rungs coarsest first and keeps the
+    // invariant near heap < finest rung < ... < first rung < top list:
+    // an event in an unpromoted bucket joins it, one in the just-promoted
+    // bucket descends to that bucket's child, and anything earlier joins
+    // the near heap. So the near heap holds the global minimum whenever it
+    // is non-empty, and ties are settled inside it by (time, seq).
+    static constexpr std::size_t kMaxRungs = 8;
+    struct Rung {
+      Millis start = 0.0;
+      Millis width = 1.0;
+      std::size_t count = 0;  // active buckets this generation
+      std::size_t cur = 0;    // next bucket to promote
+      std::vector<std::vector<CompactEvent>> buckets;  // reused storage
+    };
+    std::vector<CompactEvent> heap_;  // near events
+    std::array<Rung, kMaxRungs> rungs_;
+    std::size_t depth_ = 0;          // active rungs; rungs_[0] is coarsest
+    std::vector<CompactEvent> top_;  // beyond the first rung's coverage
     Millis top_min_ = 0.0, top_max_ = 0.0;
-    std::size_t compact_pending_ = 0;  // near + rung + top
-    std::vector<Action> action_pool_;
-    std::vector<std::uint32_t> action_free_;
-    std::vector<DeliveryEvent> delivery_pool_;
-    std::vector<std::uint32_t> delivery_free_;
+    std::size_t compact_pending_ = 0;  // near + rungs + top
+    SlotPool<Action> actions_;
+    // Records are plain data: dispatch copies one to the stack before
+    // releasing its slot, and the pool and mailboxes move them as bytes.
+    static_assert(std::is_trivially_copyable_v<DeliveryRecord>);
+    static_assert(sizeof(DeliveryRecord) <= 40);
+    SlotPool<DeliveryRecord> deliveries_;
+    SlotPool<SharedPayload> payloads_;
+    /// The fan-out whose message sits in payload slot `share_slot_`: later
+    /// deliveries of it into this store reuse the slot.
+    std::uint64_t share_id_ = kNoShare;
+    std::uint32_t share_slot_ = 0;
   };
 
-  /// Cross-shard delivery in flight between two window barriers.
+  /// Cross-shard delivery in flight between two window barriers; the
+  /// record's `payload` indexes its Mailbox's `payloads`.
   struct MailItem {
     Millis time;
-    DeliveryEvent event;
+    DeliveryRecord record;
+  };
+  /// A fan-out's message carried once per mailbox; `slot` is its payload
+  /// slot in the destination store, assigned by the drain.
+  struct MailPayload {
+    wire::Message msg;
+    std::uint32_t slot;
   };
   /// One (source shard, destination shard) channel. Written only by the
   /// source shard during a window, drained only in the barrier's serial
@@ -369,15 +471,25 @@ class Simulator : public Clock {
   /// padding keeps concurrent writers off each other's cache lines.
   struct alignas(64) Mailbox {
     static constexpr std::size_t kChunkItems = 256;
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
     std::vector<std::vector<MailItem>> full;  ///< sealed chunks, oldest first
     std::vector<MailItem> tail;               ///< chunk being filled
     std::vector<std::vector<MailItem>> spare;  ///< recycled empty chunks
+    /// One per (fan-out, window); capacity is kept across windows.
+    std::vector<MailPayload> payloads;
+    std::uint64_t share_id = kNoShare;  ///< fan-out of payloads.back()
 
-    void push(const MailItem& item) {
+    void push(Millis time, DeliveryRecord record,
+              const SharedMessage& shared) {
+      if (shared.id != share_id) {
+        payloads.push_back({*shared.msg, kNoSlot});
+        share_id = shared.id;
+      }
+      record.payload = static_cast<std::uint32_t>(payloads.size() - 1);
       if (tail.size() == kChunkItems) roll();
       if (tail.capacity() == 0) tail.reserve(kChunkItems);
-      tail.push_back(item);
+      tail.push_back({time, record});
     }
 
     void roll() {
@@ -431,8 +543,12 @@ class Simulator : public Clock {
 
   /// Arrive at the barrier; the last arriver runs serial_phase() and bumps
   /// the epoch. Returns the epoch after release. `seen` is the epoch
-  /// observed before arriving.
-  std::uint32_t arrive_and_wait(std::uint32_t shard, std::uint32_t seen);
+  /// observed before arriving. Only window rounds credit the wait to
+  /// sync_[shard]: a worker leaves the kEndRun ack round while the driver
+  /// may already be reading sync_ (window_stats), so that wait must not
+  /// write it.
+  std::uint32_t arrive_and_wait(std::uint32_t shard, std::uint32_t seen,
+                                bool window_round);
   /// Spin-then-park until epoch_ != seen; returns the new epoch and credits
   /// sync_[shard] with a spin or a park.
   std::uint32_t await_change(std::uint32_t seen, std::uint32_t shard);
@@ -493,11 +609,17 @@ class Simulator : public Clock {
   Millis width_max_ = 0.0;
   std::uint64_t mail_items_ = 0;
 
+  /// Next fan-out id issued outside dispatch (shard stores issue their own
+  /// from disjoint ranges; see EventStore).
+  std::uint64_t next_share_ = 0;
+
   // Shard context of the calling thread while it dispatches a window.
   // Static: runs of different Simulator instances never overlap on one
-  // thread, and both are reset to null/0 outside dispatch.
-  static thread_local EventStore* tls_store_;
-  static thread_local std::uint32_t tls_shard_;
+  // thread, and both are reset to null/0 outside dispatch. Defined inline
+  // with a constant initializer, so now() reads them directly instead of
+  // through a TLS init wrapper.
+  static inline thread_local constinit EventStore* tls_store_ = nullptr;
+  static inline thread_local constinit std::uint32_t tls_shard_ = 0;
 
   std::priority_queue<Event, std::vector<Event>, Later> legacy_queue_;
 };

@@ -1,16 +1,11 @@
 #include "net/transport.h"
 
 #include <cmath>
-#include <type_traits>
 #include <utility>
 
 #include "common/assert.h"
 
 namespace multipub::net {
-
-static_assert(std::is_trivially_copyable_v<DeliveryEvent>,
-              "the typed event fast path relies on DeliveryEvent being "
-              "plain copyable data (no per-hop heap traffic)");
 
 namespace {
 
@@ -391,7 +386,7 @@ void SimTransport::send(Address from, Address to, wire::Message msg) {
   if (to.kind == Address::Kind::kCohort) {
     // The caller (a broker or region manager) set msg.weight to the number
     // of per-client copies this send stands for.
-    send_cohort(from, to, msg, msg.weight);
+    send_cohort(from, to, sim_->share(msg), msg.weight);
     return;
   }
   const std::size_t shard = sim_->current_shard();
@@ -498,8 +493,9 @@ void SimTransport::send(Address from, Address to, wire::Message msg) {
 }
 
 void SimTransport::send_cohort(Address from, Address to,
-                               const wire::Message& msg,
+                               const Simulator::SharedMessage& shared,
                                std::uint32_t weight) {
+  const wire::Message& msg = *shared.msg;
   MP_EXPECTS(from.kind == Address::Kind::kRegion);
   MP_EXPECTS(directory_ != nullptr && fast_path_ && !jitter_.has_value());
   const std::size_t shard = sim_->current_shard();
@@ -534,9 +530,8 @@ void SimTransport::send_cohort(Address from, Address to,
     bill.topic_internet[msg.topic] += billable;
     const Millis delay = base * fault.delay_factor + fault.delay_extra_ms;
     sent_.add(shard);
-    wire::Message copy = msg;
-    copy.weight = 1;
-    sim_->schedule_delivery_after(delay, *this, from, to, copy);
+    sim_->schedule_delivery_after(delay, *this, from, to, shared,
+                                  msg.subscriber, 1);
     return;
   }
 
@@ -548,8 +543,6 @@ void SimTransport::send_cohort(Address from, Address to,
     // consumes — and survivors travel as weight-1 deliveries addressed to
     // the flock with the member stamped in `subscriber`.
     ShardLane& sender_lane = lane(sim_->owner_shard(from));
-    wire::Message split = msg;
-    split.weight = 1;
     for (const ClientId member : directory_->flock_members(flock)) {
       const Address member_addr = Address::client(member);
       const FaultPlan::Outcome fault = fault_plan_->apply(
@@ -562,11 +555,10 @@ void SimTransport::send_cohort(Address from, Address to,
         continue;
       }
       bill.internet += billable;
-      bill.topic_internet[split.topic] += billable;
+      bill.topic_internet[msg.topic] += billable;
       const Millis delay = base * fault.delay_factor + fault.delay_extra_ms;
       sent_.add(shard);
-      split.subscriber = member;
-      sim_->schedule_delivery_after(delay, *this, from, to, split);
+      sim_->schedule_delivery_after(delay, *this, from, to, shared, member, 1);
     }
     return;
   }
@@ -581,10 +573,9 @@ void SimTransport::send_cohort(Address from, Address to,
   bill.topic_internet[msg.topic] += billable * weight;
   const Millis delay = base * 1.0 + 0.0;
   sent_.add(shard, weight);
-  wire::Message whole = msg;
-  whole.weight = weight;
-  whole.subscriber = ClientId{-1};  // whole-flock sentinel
-  sim_->schedule_delivery_after(delay, *this, from, to, whole);
+  sim_->schedule_delivery_after(delay, *this, from, to, shared,
+                                ClientId{-1},  // whole-flock sentinel
+                                weight);
 }
 
 void SimTransport::send_batch(Address from, std::span<const Address> targets,
@@ -628,6 +619,9 @@ void SimTransport::send_batch(Address from, std::span<const Address> targets,
 
   wire::Message stamped = msg;
   stamped.type = stamped_type;
+  // The whole batch shares one stored copy of the stamped message; each
+  // delivery keeps only its own subscriber stamp and weight.
+  const Simulator::SharedMessage shared = sim_->share(stamped);
 
   // Sender-side billing facts are shared by the whole batch; the per-target
   // += order below matches the per-target send() loop bit for bit.
@@ -645,7 +639,7 @@ void SimTransport::send_batch(Address from, std::span<const Address> targets,
     if (to.kind == Address::Kind::kCohort) {
       // One weighted hop (or an exact per-member replay inside fault
       // windows) standing for the flock's member count.
-      send_cohort(from, to, stamped, directory_->flock_weight(to.as_flock()));
+      send_cohort(from, to, shared, directory_->flock_weight(to.as_flock()));
       continue;
     }
     if (to.kind == Address::Kind::kRegion && region_down(to.as_region())) {
@@ -685,9 +679,10 @@ void SimTransport::send_batch(Address from, std::span<const Address> targets,
     sent_.add(shard, weight);
     // Per-target stamp; region targets keep the original subscriber so a
     // mixed batch cannot leak one client's stamp into a broker-bound copy.
-    stamped.subscriber = to.kind == Address::Kind::kClient ? to.as_client()
-                                                           : msg.subscriber;
-    sim_->schedule_delivery_after(delay, *this, from, to, stamped);
+    const ClientId subscriber =
+        to.kind == Address::Kind::kClient ? to.as_client() : msg.subscriber;
+    sim_->schedule_delivery_after(delay, *this, from, to, shared, subscriber,
+                                  weight);
   }
 }
 

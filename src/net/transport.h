@@ -13,9 +13,11 @@
 // Data-plane fast path: by default deliveries travel as typed simulator
 // events (no per-hop heap allocation) and are dispatched through dense
 // per-kind handler tables; send_batch() bills and schedules a whole fan-out
-// from one shared message. set_fast_path(false) reverts to the seed's
-// std::function-per-hop scheduling — kept as the observationally-identical
-// reference for the differential tests and bench_dataplane.
+// from one message the simulator stores once (Simulator::share), with only
+// the subscriber stamp and weight kept per target. set_fast_path(false)
+// reverts to the seed's std::function-per-hop scheduling — kept as the
+// observationally-identical reference for the differential tests and
+// bench_dataplane.
 #pragma once
 
 #include <cstdint>
@@ -254,12 +256,13 @@ class SimTransport final : public Bus, public DeliverySink {
   /// Dense handler slot for `address`, or nullptr when never registered.
   [[nodiscard]] const Handler* find_handler(Address address) const;
 
-  /// One send towards a cohort address standing for `weight` per-client
-  /// copies. Outside fault windows that can touch region->client links this
-  /// is a single weighted delivery; inside them it replays the per-member
-  /// loop exactly (same per-client coin streams, same drop/delay outcomes),
-  /// emitting weight-1 deliveries stamped with the member id.
-  void send_cohort(Address from, Address to, const wire::Message& msg,
+  /// One send of `shared` towards a cohort address standing for `weight`
+  /// per-client copies. Outside fault windows that can touch region->client
+  /// links this is a single weighted delivery; inside them it replays the
+  /// per-member loop exactly (same per-client coin streams, same drop/delay
+  /// outcomes), emitting weight-1 deliveries stamped with the member id.
+  void send_cohort(Address from, Address to,
+                   const Simulator::SharedMessage& shared,
                    std::uint32_t weight);
 
   struct Jitter {

@@ -3,16 +3,22 @@
 // loop stamps, billing and counters are bit-identical to the unbatched
 // reference, coalescing provably reduces syscalls, partial vectored writes
 // resume mid-frame, and the reconnect backoff follows its schedule
-// deterministically.
+// deterministically. The simulated transport's fan-out, which shares one
+// stored message across its targets, is held to the per-target send() loop
+// the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "net/socket_transport.h"
+#include "net/transport.h"
+#include "testutil.h"
 
 namespace multipub::net {
 namespace {
@@ -309,6 +315,120 @@ TEST(TransportBackoff, JitterIsDeterministicInTheSeed) {
     }
   }
   EXPECT_TRUE(any_differs) << "different seeds should jitter differently";
+}
+
+/// Three flocks of different weights; no fault plan is installed, so the
+/// members are never consulted.
+class WeightedFlocks : public CohortDirectory {
+ public:
+  static constexpr std::uint32_t kWeights[] = {3, 1, 250};
+
+  [[nodiscard]] std::uint32_t flock_weight(std::int32_t flock) const override {
+    return kWeights[flock];
+  }
+  [[nodiscard]] std::span<const ClientId> flock_members(
+      std::int32_t) const override {
+    return {};
+  }
+  [[nodiscard]] Millis flock_latency(std::int32_t flock,
+                                     RegionId) const override {
+    return 7.0 + flock;
+  }
+  [[nodiscard]] RegionId flock_home(std::int32_t) const override {
+    return testutil::TinyWorld::kA;
+  }
+  [[nodiscard]] RegionId flock_attachment(std::int32_t) const override {
+    return testutil::TinyWorld::kA;
+  }
+};
+
+/// One simulated plane recording every arrival as (target, time, message).
+struct SimPlane {
+  using Arrival = std::tuple<Address, Millis, wire::Message>;
+
+  testutil::TinyWorld world;
+  Simulator sim;
+  SimTransport transport{sim, world.catalog, world.backbone, world.clients};
+  WeightedFlocks flocks;
+  std::vector<Arrival> arrivals;
+
+  explicit SimPlane(std::span<const Address> targets) {
+    transport.set_cohort_directory(&flocks);
+    for (const Address to : targets) {
+      transport.register_handler(to, [this, to](const wire::Message& m) {
+        arrivals.emplace_back(to, sim.now(), m);
+      });
+    }
+  }
+};
+
+TEST(SimTransportBatching, MixedFanOutStampsLikeThePerTargetSendLoop) {
+  // One send_batch over client, region and cohort targets (flock weights
+  // 3, 1 and 250) delivers to each target exactly the subscriber stamp and
+  // weight the per-target send() loop does, though every delivery shares
+  // one stored message. kReplayBatch pins the cohort targets down: they
+  // must see the caller's (invalid) subscriber, not the stamp of the
+  // client target scheduled before them, or they would be taken for
+  // member-addressed replays.
+  using testutil::TinyWorld;
+  const std::vector<Address> targets = {
+      Address::client(TinyWorld::kNearA), Address::region(TinyWorld::kB),
+      Address::cohort(0),                 Address::client(TinyWorld::kNearB),
+      Address::cohort(2),                 Address::region(TinyWorld::kC),
+      Address::cohort(1),                 Address::client(TinyWorld::kNearA2)};
+  for (const auto stamped :
+       {wire::MessageType::kDeliver, wire::MessageType::kReplayBatch}) {
+    SimPlane batch(targets);
+    SimPlane loop(targets);
+    wire::Message msg;
+    msg.type = wire::MessageType::kForward;
+    msg.topic = TopicId{4};
+    msg.publisher = TinyWorld::kNearC;
+    msg.seq = 77;
+    msg.payload_bytes = 640;
+    const Address from = Address::region(TinyWorld::kA);
+
+    batch.transport.send_batch(from, targets, msg, stamped);
+    for (const Address to : targets) {
+      wire::Message copy = msg;
+      copy.type = stamped;
+      if (to.kind == Address::Kind::kClient) copy.subscriber = to.as_client();
+      if (to.kind == Address::Kind::kCohort) {
+        copy.weight = WeightedFlocks::kWeights[to.id];
+      }
+      loop.transport.send(from, to, copy);
+    }
+    batch.sim.run();
+    loop.sim.run();
+
+    ASSERT_EQ(batch.arrivals.size(), targets.size());
+    EXPECT_EQ(batch.arrivals, loop.arrivals);
+    for (const auto& [to, time, got] : batch.arrivals) {
+      EXPECT_EQ(got.type, stamped);
+      EXPECT_EQ(got.seq, 77u);
+      EXPECT_EQ(got.payload_bytes, 640u);
+      switch (to.kind) {
+        case Address::Kind::kClient:
+          EXPECT_EQ(got.subscriber, to.as_client());
+          EXPECT_EQ(got.weight, 1u);
+          break;
+        case Address::Kind::kRegion:
+          EXPECT_EQ(got.subscriber, ClientId::invalid());
+          EXPECT_EQ(got.weight, 1u);
+          break;
+        case Address::Kind::kCohort:
+          EXPECT_EQ(got.subscriber, ClientId{-1});  // whole-flock sentinel
+          EXPECT_EQ(got.weight, WeightedFlocks::kWeights[to.id]);
+          break;
+      }
+    }
+    EXPECT_EQ(batch.transport.sent_count(), loop.transport.sent_count());
+    EXPECT_EQ(batch.transport.delivered_count(), 3u + 2u + 3u + 1u + 250u);
+    EXPECT_EQ(batch.transport.ledger().inter_region_bytes,
+              loop.transport.ledger().inter_region_bytes);
+    EXPECT_EQ(batch.transport.ledger().internet_bytes,
+              loop.transport.ledger().internet_bytes);
+  }
 }
 
 }  // namespace
