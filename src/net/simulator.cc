@@ -299,14 +299,7 @@ void Simulator::EventStore::dispatch_one() {
 
 Simulator::~Simulator() { shutdown_workers(); }
 
-void Simulator::set_legacy_scheduling(bool on) {
-  MP_EXPECTS(pending() == 0);
-  MP_EXPECTS(!sharded());
-  legacy_ = on;
-}
-
 std::size_t Simulator::pending() const {
-  if (legacy_) return legacy_queue_.size();
   std::size_t total = 0;
   for (const auto& store : stores_) total += store->compact_pending_;
   return total;
@@ -319,7 +312,6 @@ std::uint64_t Simulator::processed() const {
 }
 
 void Simulator::configure_shards(ShardMap map, Millis lookahead) {
-  MP_EXPECTS(!legacy_);
   MP_EXPECTS(pending() == 0);
   MP_EXPECTS(tls_store_ == nullptr);
   MP_EXPECTS(map.shards >= 1);
@@ -440,10 +432,6 @@ void Simulator::shutdown_workers() {
 
 void Simulator::schedule_at(Millis t, Action action) {
   MP_EXPECTS(t >= now());
-  if (legacy_) {
-    legacy_queue_.push(Event{t, legacy_seq_++, std::move(action)});
-    return;
-  }
   // Inside a window the action stays on the dispatching shard (timers are
   // entity-local); outside, shard 0 hosts un-hinted actions.
   EventStore& store = tls_store_ != nullptr ? *tls_store_ : *stores_[0];
@@ -452,10 +440,6 @@ void Simulator::schedule_at(Millis t, Action action) {
 
 void Simulator::schedule_at(Millis t, Address owner, Action action) {
   MP_EXPECTS(t >= now());
-  if (legacy_) {
-    legacy_queue_.push(Event{t, legacy_seq_++, std::move(action)});
-    return;
-  }
   EventStore& store = *stores_[owner_shard(owner)];
   // Cross-shard actions have no sequenced channel — only deliveries do — so
   // from inside a window the owner must be local.
@@ -480,7 +464,6 @@ void Simulator::schedule_delivery_at(Millis t, DeliverySink& sink,
                                      ClientId subscriber,
                                      std::uint32_t weight) {
   MP_EXPECTS(t >= now());
-  MP_EXPECTS(!legacy_);
   const DeliveryRecord record{&sink, from, to, subscriber, weight, 0};
   if (!sharded()) {
     stores_[0]->insert_delivery(t, record, shared);
@@ -527,17 +510,6 @@ void Simulator::schedule_delivery_after(Millis delay, DeliverySink& sink,
 }
 
 bool Simulator::step() {
-  if (legacy_) {
-    if (legacy_queue_.empty()) return false;
-    // priority_queue::top() is const; the action must be moved out before
-    // pop.
-    Event event = std::move(const_cast<Event&>(legacy_queue_.top()));
-    legacy_queue_.pop();
-    now_ = event.time;
-    ++processed_base_;
-    event.action();
-    return true;
-  }
   MP_EXPECTS(!sharded());  // the parallel plane runs whole windows
   EventStore& store = *stores_[0];
   if (store.next_time() == kUnreachable) return false;
@@ -780,13 +752,6 @@ void Simulator::run() {
 
 void Simulator::run_until(Millis t) {
   MP_EXPECTS(t >= now());
-  if (legacy_) {
-    while (!legacy_queue_.empty() && legacy_queue_.top().time <= t) {
-      step();
-    }
-    now_ = t;
-    return;
-  }
   if (!sharded()) {
     EventStore& store = *stores_[0];
     while (store.next_time() <= t) {

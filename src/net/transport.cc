@@ -69,16 +69,8 @@ SimTransport::SimTransport(Simulator& sim, const geo::RegionCatalog& catalog,
   lanes_.push_back(std::make_unique<ShardLane>());
 }
 
-void SimTransport::set_fast_path(bool on) {
-  // The weighted cohort plane has no legacy twin; drop the directory first.
-  MP_EXPECTS(on || directory_ == nullptr);
-  fast_path_ = on;
-  sim_->set_legacy_scheduling(!on);
-}
-
 void SimTransport::set_cohort_directory(const CohortDirectory* directory) {
-  MP_EXPECTS(directory == nullptr ||
-             (fast_path_ && !jitter_.has_value()));
+  MP_EXPECTS(directory == nullptr || !jitter_.has_value());
   directory_ = directory;
 }
 
@@ -175,8 +167,7 @@ void SimTransport::register_handler(Address address, Handler handler) {
   // would destroy it under its own feet.
   MP_EXPECTS(&dense[index] != lane(sim_->current_shard()).active_handler &&
              "cannot replace a handler from within its own delivery");
-  dense[index] = handler;
-  handlers_[address] = std::move(handler);
+  dense[index] = std::move(handler);
 }
 
 void SimTransport::unregister_handler(Address address) {
@@ -191,7 +182,6 @@ void SimTransport::unregister_handler(Address address) {
                "cannot remove a handler from within its own delivery");
     dense[index] = nullptr;
   }
-  handlers_.erase(address);
 }
 
 const SimTransport::Handler* SimTransport::find_handler(
@@ -382,23 +372,27 @@ void SimTransport::deliver(const DeliveryEvent& event) {
   self.active_handler = previous;
 }
 
-void SimTransport::send(Address from, Address to, wire::Message msg) {
-  if (to.kind == Address::Kind::kCohort) {
-    // The caller (a broker or region manager) set msg.weight to the number
-    // of per-client copies this send stands for.
-    send_cohort(from, to, sim_->share(msg), msg.weight);
-    return;
+SimTransport::SendCall SimTransport::open_call(Address from,
+                                               const wire::Message& msg) {
+  SendCall call{from, sim_->share(msg), sim_->current_shard(),
+                &lane(sim_->owner_shard(from))};
+  if (from.kind == Address::Kind::kRegion) {
+    call.bill = &bills_[from.as_region().index()];
+    call.billable = msg.billable_bytes() * msg.weight;
   }
-  const std::size_t shard = sim_->current_shard();
+  return call;
+}
+
+// Inlined into both callers: an out-of-line hop per target costs the fan-out
+// loop measurably (DESIGN.md §9).
+[[gnu::always_inline]] inline void SimTransport::send_hop(SendCall& call,
+                                                          Address to,
+                                                          ClientId subscriber) {
+  const wire::Message& msg = *call.shared.msg;
+  const Address from = call.from;
+  const std::size_t shard = call.shard;
   const std::uint32_t weight = msg.weight;
-  // Outage handling: a dead region neither sends nor receives. A dead
-  // sender emits nothing (and bills nothing); a message towards a dead
-  // destination is lost in transit.
-  if (from.kind == Address::Kind::kRegion && region_down(from.as_region())) {
-    dropped_.add(shard, weight);
-    dropped_sender_down_.add(shard, weight);
-    return;
-  }
+  // A message towards a dead destination is lost in transit.
   if (to.kind == Address::Kind::kRegion && region_down(to.as_region())) {
     sent_.add(shard, weight);
     dropped_.add(shard, weight);
@@ -415,7 +409,6 @@ void SimTransport::send(Address from, Address to, wire::Message msg) {
   // in per-link send order, whether it runs inside a window (where the
   // executing shard IS the owner shard) or from the quiescent control
   // plane — the link's position never forks across lanes.
-  ShardLane& sender_lane = lane(sim_->owner_shard(from));
   FaultPlan::Outcome fault;
   if (fault_plan_ != nullptr &&
       (!reliable_control_ || is_data_kind(msg.type))) {
@@ -431,7 +424,7 @@ void SimTransport::send(Address from, Address to, wire::Message msg) {
       // consulted the plan and drawn nothing.
     } else {
       fault = fault_plan_->apply(from, to, sim_->now(),
-                                 coin_stream(sender_lane, from, to));
+                                 coin_stream(*call.sender_lane, from, to));
       if (fault.dropped) {
         sent_.add(shard, weight);
         dropped_.add(shard, weight);
@@ -446,50 +439,50 @@ void SimTransport::send(Address from, Address to, wire::Message msg) {
 
   // Bill egress at the sender's tariff before the message is even delivered:
   // the bytes leave the region regardless of what happens downstream.
-  if (from.kind == Address::Kind::kRegion) {
-    const Bytes billable = msg.billable_bytes() * weight;
-    RegionBill& bill = bills_[from.as_region().index()];
+  if (call.bill != nullptr) {
     if (to.kind == Address::Kind::kRegion) {
-      bill.inter_region += billable;
-      bill.topic_inter[msg.topic] += billable;
+      if (call.topic_inter == nullptr) {
+        call.topic_inter = &call.bill->topic_inter[msg.topic];
+      }
+      call.bill->inter_region += call.billable;
+      *call.topic_inter += call.billable;
     } else {
-      bill.internet += billable;
-      bill.topic_internet[msg.topic] += billable;
+      if (call.topic_internet == nullptr) {
+        call.topic_internet = &call.bill->topic_internet[msg.topic];
+      }
+      call.bill->internet += call.billable;
+      *call.topic_internet += call.billable;
     }
   }
 
   Millis delay = latency(from, to);
   if (jitter_.has_value()) {
-    delay = jittered(sender_lane, from, to, delay);
+    delay = jittered(*call.sender_lane, from, to, delay);
   }
   delay = delay * fault.delay_factor + fault.delay_extra_ms;
   sent_.add(shard, weight);
-  if (fast_path_) {
-    sim_->schedule_delivery_after(delay, *this, from, to, msg);
+  sim_->schedule_delivery_after(delay, *this, from, to, call.shared,
+                                subscriber, weight);
+}
+
+void SimTransport::send(Address from, Address to, wire::Message msg) {
+  if (to.kind == Address::Kind::kCohort) {
+    // The caller (a broker or region manager) set msg.weight to the number
+    // of per-client copies this send stands for.
+    send_cohort(from, to, sim_->share(msg), msg.weight);
     return;
   }
-  sim_->schedule_after(delay, [this, to, msg = std::move(msg)]() {
-    const std::size_t arrival_shard = sim_->current_shard();
-    if (to.kind == Address::Kind::kRegion && region_down(to.as_region())) {
-      dropped_.add(arrival_shard, msg.weight);
-      dropped_dead_arrival_.add(arrival_shard, msg.weight);
-      if (msg.type == wire::MessageType::kPublish) {
-        lane(arrival_shard).publish_drops[msg.topic.value()] += msg.weight;
-      }
-      return;
-    }
-    const auto it = handlers_.find(to);
-    if (it == handlers_.end()) {
-      dropped_.add(arrival_shard, msg.weight);
-      dropped_unregistered_.add(arrival_shard, msg.weight);
-      if (msg.type == wire::MessageType::kPublish) {
-        lane(arrival_shard).publish_drops[msg.topic.value()] += msg.weight;
-      }
-      return;
-    }
-    delivered_.add(arrival_shard, msg.weight);
-    it->second(msg);
-  });
+  // Outage handling: a dead region neither sends nor receives. A dead
+  // sender emits nothing (and bills nothing); send_hop drops messages
+  // towards a dead destination.
+  if (from.kind == Address::Kind::kRegion && region_down(from.as_region())) {
+    const std::size_t shard = sim_->current_shard();
+    dropped_.add(shard, msg.weight);
+    dropped_sender_down_.add(shard, msg.weight);
+    return;
+  }
+  SendCall call = open_call(from, msg);
+  send_hop(call, to, msg.subscriber);
 }
 
 void SimTransport::send_cohort(Address from, Address to,
@@ -497,7 +490,7 @@ void SimTransport::send_cohort(Address from, Address to,
                                std::uint32_t weight) {
   const wire::Message& msg = *shared.msg;
   MP_EXPECTS(from.kind == Address::Kind::kRegion);
-  MP_EXPECTS(directory_ != nullptr && fast_path_ && !jitter_.has_value());
+  MP_EXPECTS(directory_ != nullptr && !jitter_.has_value());
   const std::size_t shard = sim_->current_shard();
   if (region_down(from.as_region())) {
     dropped_.add(shard, weight);
@@ -582,27 +575,7 @@ void SimTransport::send_batch(Address from, std::span<const Address> targets,
                               const wire::Message& msg,
                               wire::MessageType stamped_type) {
   if (targets.empty()) return;
-  if (!fast_path_) {
-    // Reference path: the seed data plane materialised one message copy per
-    // peer and pushed each through send() — per-target billing, map handler
-    // lookup, and a heap-allocating callback per hop.
-    wire::Message copy = msg;
-    copy.type = stamped_type;
-    for (const Address to : targets) {
-      copy.subscriber = to.kind == Address::Kind::kClient ? to.as_client()
-                                                          : msg.subscriber;
-      send(from, to, copy);
-    }
-    return;
-  }
-
-  const std::size_t shard = sim_->current_shard();
-  // Stream lane by the sender's owner shard, as in send(): one stream per
-  // link, regardless of where the call executes.
-  ShardLane& sender_lane = lane(sim_->owner_shard(from));
-  const bool from_region = from.kind == Address::Kind::kRegion;
-  const std::uint32_t weight = msg.weight;
-  if (from_region && region_down(from.as_region())) {
+  if (from.kind == Address::Kind::kRegion && region_down(from.as_region())) {
     // Exactly what the per-target send() loop records: one drop each,
     // nothing sent, nothing billed. Cohort targets weigh their member
     // count, like the per-target loop would.
@@ -610,8 +583,9 @@ void SimTransport::send_batch(Address from, std::span<const Address> targets,
     for (const Address to : targets) {
       copies += to.kind == Address::Kind::kCohort
                     ? directory_->flock_weight(to.as_flock())
-                    : weight;
+                    : msg.weight;
     }
+    const std::size_t shard = sim_->current_shard();
     dropped_.add(shard, copies);
     dropped_sender_down_.add(shard, copies);
     return;
@@ -619,70 +593,23 @@ void SimTransport::send_batch(Address from, std::span<const Address> targets,
 
   wire::Message stamped = msg;
   stamped.type = stamped_type;
-  // The whole batch shares one stored copy of the stamped message; each
-  // delivery keeps only its own subscriber stamp and weight.
-  const Simulator::SharedMessage shared = sim_->share(stamped);
-
-  // Sender-side billing facts are shared by the whole batch; the per-target
-  // += order below matches the per-target send() loop bit for bit.
-  const Bytes billable_bytes = stamped.billable_bytes() * weight;
-  RegionBill* bill = nullptr;
-  Bytes* topic_inter = nullptr;
-  Bytes* topic_internet = nullptr;
-  if (from_region) {
-    bill = &bills_[from.as_region().index()];
-    topic_inter = &bill->topic_inter[stamped.topic];
-    topic_internet = &bill->topic_internet[stamped.topic];
-  }
-
+  // The whole batch shares one stored copy of the stamped message and one
+  // set of sender-side billing facts; each delivery keeps only its own
+  // subscriber stamp and weight.
+  SendCall call = open_call(from, stamped);
   for (const Address to : targets) {
     if (to.kind == Address::Kind::kCohort) {
       // One weighted hop (or an exact per-member replay inside fault
       // windows) standing for the flock's member count.
-      send_cohort(from, to, shared, directory_->flock_weight(to.as_flock()));
+      send_cohort(from, to, call.shared,
+                  directory_->flock_weight(to.as_flock()));
       continue;
     }
-    if (to.kind == Address::Kind::kRegion && region_down(to.as_region())) {
-      sent_.add(shard, weight);
-      dropped_.add(shard, weight);
-      continue;
-    }
-    // Same consult position as send(): after the dead-region checks, before
-    // billing, one apply() per target — so fault-coin and jitter draws line
-    // up exactly with the per-target reference loop.
-    FaultPlan::Outcome fault;
-    if (fault_plan_ != nullptr &&
-        (!reliable_control_ || is_data_kind(stamped_type))) {
-      fault = fault_plan_->apply(from, to, sim_->now(),
-                                 coin_stream(sender_lane, from, to));
-      if (fault.dropped) {
-        sent_.add(shard, weight);
-        dropped_.add(shard, weight);
-        dropped_faulted_.add(shard, weight);
-        continue;
-      }
-    }
-    if (from_region) {
-      if (to.kind == Address::Kind::kRegion) {
-        bill->inter_region += billable_bytes;
-        *topic_inter += billable_bytes;
-      } else {
-        bill->internet += billable_bytes;
-        *topic_internet += billable_bytes;
-      }
-    }
-    Millis delay = latency(from, to);
-    if (jitter_.has_value()) {
-      delay = jittered(sender_lane, from, to, delay);
-    }
-    delay = delay * fault.delay_factor + fault.delay_extra_ms;
-    sent_.add(shard, weight);
     // Per-target stamp; region targets keep the original subscriber so a
     // mixed batch cannot leak one client's stamp into a broker-bound copy.
-    const ClientId subscriber =
-        to.kind == Address::Kind::kClient ? to.as_client() : msg.subscriber;
-    sim_->schedule_delivery_after(delay, *this, from, to, shared, subscriber,
-                                  weight);
+    send_hop(call, to,
+             to.kind == Address::Kind::kClient ? to.as_client()
+                                               : msg.subscriber);
   }
 }
 

@@ -320,7 +320,6 @@ ChaosRunner::Execution ChaosRunner::execute(const FaultSchedule& schedule,
   // The plan outlives the system (the transport borrows it).
   net::FaultPlan plan(seed ^ 0x9e3779b97f4a7c15ULL);
   LiveSystem live(*scenario_);
-  live.set_data_plane_fast_path(options_.fast_path);
   live.set_incremental(options_.incremental);
   live.set_cohorts(options_.cohorts);  // before set_shards: flocks get shards
   live.set_shard_placement(options_.placement);

@@ -5,7 +5,9 @@
 // latency inflation and probabilistic message loss through the transport's
 // FaultPlan. Everything — fault placement, coin flips, traffic phases — is
 // derived from one seed, so a run is bit-reproducible: same seed, same
-// schedule, same oracle report.
+// schedule, same oracle report. ChaosOptions select the control pipeline,
+// the shard count, placement and window policy, and the subscriber plane
+// of the one simulated data path.
 //
 // After every round an invariant oracle suite checks system-wide
 // properties (cost-ledger conservation, dead-region silence and exclusion,
@@ -40,10 +42,9 @@ struct ChaosOptions {
   /// conformance oracles arm (clients need time to migrate back).
   int convergence_rounds = 2;
   bool incremental = true;      ///< control-plane pipeline under test
-  bool fast_path = true;        ///< data-plane scheduling path under test
   /// Data-plane shard (worker-thread) count under test. Observables — and
   /// therefore the whole report — must be identical for every value; >1
-  /// requires fast_path and shards <= regions.
+  /// requires shards <= regions.
   std::uint32_t shards = 1;
   /// Region-to-shard placement strategy for shards > 1 (DESIGN.md §14).
   /// Neither placement nor window policy may change the report by a byte.
@@ -51,11 +52,11 @@ struct ChaosOptions {
   /// Window sizing policy for the sharded plane (DESIGN.md §14).
   net::WindowPolicy window_policy = net::WindowPolicy::kAdaptive;
   /// Runs the subscriber side on the cohort-compressed plane (DESIGN.md
-  /// §12). Requires fast_path. With schedules free of probabilistic drop
-  /// rules the report is byte-identical to the per-client plane; drop rules
-  /// are replayed per member for deliveries but a partially dropped
-  /// kConfigUpdate re-homes the whole flock, so drop schedules may diverge
-  /// in reconnect counts (never in oracle soundness).
+  /// §12). With schedules free of probabilistic drop rules the report is
+  /// byte-identical to the per-client plane; drop rules are replayed per
+  /// member for deliveries but a partially dropped kConfigUpdate re-homes
+  /// the whole flock, so drop schedules may diverge in reconnect counts
+  /// (never in oracle soundness).
   bool cohorts = false;
   /// Arms the reliability layer (DESIGN.md §15): sequenced replay,
   /// reconnect-and-replay on outage healing, Clone-pattern broker state

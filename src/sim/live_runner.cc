@@ -161,9 +161,6 @@ void LiveSystem::set_shards(std::uint32_t shards) {
     base_lookaheads_.clear();
     return;
   }
-  // The parallel plane runs on the typed-event engine; the legacy reference
-  // path stays single-threaded.
-  MP_EXPECTS(transport_->fast_path());
   net::ShardMap map;
   map.shards = shards;
   map.region_shard =
@@ -248,7 +245,6 @@ void LiveSystem::set_cohorts(bool on, Millis row_bucket_ms) {
     return;
   }
   if (pool_ != nullptr) return;
-  MP_EXPECTS(transport_->fast_path());
   MP_EXPECTS(row_bucket_ms >= 0.0);
   const std::size_t n_clients = scenario_->population.size();
   const std::size_t n_regions = scenario_->catalog.size();

@@ -302,19 +302,17 @@ TEST_P(ChaosCampaignTest, ReportRenderIsDeterministicAndComplete) {
 }
 
 TEST_P(ChaosCampaignTest, BoundedSoakAcrossSeedsAndPaths) {
-  // A small randomized campaign per (seed, data-plane path): generated
+  // A small randomized campaign per (seed, control-plane path): generated
   // schedules, all oracles armed. Kept bounded — this is the tier-1 smoke;
-  // the CI soak target runs longer campaigns. The seed scheduling path only
-  // exists single-threaded, so the sharded campaigns pin fast_path on.
+  // the CI soak target runs longer campaigns.
   options_.rounds = 8;
-  for (const bool fast_path : {true, false}) {
-    if (!fast_path && options_.shards > 1) continue;
-    options_.fast_path = fast_path;
+  for (const bool incremental : {true, false}) {
+    options_.incremental = incremental;
     ChaosRunner runner(scenario_, options_);
     for (const std::uint64_t seed : {11u, 12u, 13u}) {
       const ChaosReport report = runner.run(seed);
       EXPECT_TRUE(report.passed())
-          << "fast_path=" << fast_path << "\n" << report.render();
+          << "incremental=" << incremental << "\n" << report.render();
     }
   }
 }

@@ -4,10 +4,6 @@
 // multi-round scenario with traffic shifts, a subscriber leaving and
 // rejoining, and a region outage with recovery, the deployed assignment
 // matrices must stay bit-identical every round.
-//
-// Parameterized over the data-plane scheduling path (fast-path vs seed
-// path, applied to BOTH systems) so each control-plane pipeline is proven
-// under each scheduling path.
 #include <gtest/gtest.h>
 
 #include "sim/live_runner.h"
@@ -16,10 +12,7 @@
 namespace multipub::sim {
 namespace {
 
-class IncrementalLive : public ::testing::TestWithParam<bool> {};
-
-TEST_P(IncrementalLive, MatrixMatchesFullPipelineAcrossTenRounds) {
-  const bool fast_path = GetParam();
+TEST(IncrementalLive, MatrixMatchesFullPipelineAcrossTenRounds) {
   Rng rng(171);
   WorkloadSpec workload;
   workload.interval_seconds = 10.0;
@@ -31,8 +24,6 @@ TEST_P(IncrementalLive, MatrixMatchesFullPipelineAcrossTenRounds) {
   LiveSystem incremental(scenario);
   LiveSystem full(scenario);
   full.set_incremental(false);
-  incremental.set_data_plane_fast_path(fast_path);
-  full.set_data_plane_fast_path(fast_path);
   ASSERT_TRUE(incremental.incremental());
   ASSERT_FALSE(full.incremental());
 
@@ -110,11 +101,6 @@ TEST_P(IncrementalLive, MatrixMatchesFullPipelineAcrossTenRounds) {
   // During the outage the failed region must have disappeared from both.
   ASSERT_NE(failed.value(), -1);
 }
-
-INSTANTIATE_TEST_SUITE_P(DataPlane, IncrementalLive, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "FastPath" : "SeedPath";
-                         });
 
 }  // namespace
 }  // namespace multipub::sim

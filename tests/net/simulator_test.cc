@@ -152,7 +152,7 @@ TEST(Simulator, TypedDeliveriesInterleaveWithActionsInFifoOrder) {
 TEST(Simulator, MixedEventOrderingPropertyRandomized) {
   // Property: for any mix of typed and generic events at clashing
   // timestamps, dispatch order equals a stable sort by time — i.e. the
-  // (time, seq) FIFO contract of the seed engine, bit for bit.
+  // (time, seq) FIFO contract, bit for bit.
   Rng rng(4242);
   for (int trial = 0; trial < 20; ++trial) {
     Simulator sim;
@@ -232,38 +232,6 @@ TEST(Simulator, LateScheduleBeforeRungCoverageStaysOrdered) {
   sim.run();
   EXPECT_EQ(fired, (std::vector<Millis>{1050.0, 1100.0, 5000.0}));
   EXPECT_EQ(sim.processed(), 3u);
-}
-
-TEST(Simulator, LegacySchedulingPreservesFifoContract) {
-  Simulator sim;
-  sim.set_legacy_scheduling(true);
-  ASSERT_TRUE(sim.legacy_scheduling());
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    sim.schedule_at(5.0, [&order, i] { order.push_back(i); });
-  }
-  sim.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  // Queue is drained, so switching back is allowed.
-  sim.set_legacy_scheduling(false);
-  EXPECT_FALSE(sim.legacy_scheduling());
-}
-
-TEST(Simulator, LegacyAndFastEnginesDispatchIdenticallyForActions) {
-  for (bool legacy : {false, true}) {
-    Simulator sim;
-    sim.set_legacy_scheduling(legacy);
-    std::vector<int> order;
-    sim.schedule_at(30.0, [&] { order.push_back(3); });
-    sim.schedule_at(10.0, [&] { order.push_back(1); });
-    sim.schedule_at(10.0, [&] { order.push_back(2); });
-    sim.run_until(10.0);
-    EXPECT_EQ(order, (std::vector<int>{1, 2})) << "legacy=" << legacy;
-    EXPECT_EQ(sim.pending(), 1u);
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3})) << "legacy=" << legacy;
-    EXPECT_EQ(sim.processed(), 3u);
-  }
 }
 
 TEST(Simulator, ZeroDelayEventRunsAtCurrentTime) {

@@ -203,7 +203,7 @@ TEST_F(TransportTest, SendBatchStampsTypeAndPerTargetSubscriber) {
 }
 
 TEST_F(TransportTest, SendBatchMatchesPerTargetSendLoopExactly) {
-  // The batch must be observationally identical to the seed's per-target
+  // The batch must be observationally identical to the per-target
   // copy-and-send loop: same ledger, same topic cost, same delivery times.
   TinyWorld world2;
   Simulator sim2;
@@ -325,90 +325,67 @@ TEST_F(TransportTest, SendBatchSkipsDownTargetButBillsTheRest) {
 }
 
 TEST_F(TransportTest, UnregisteredDeliveriesAreCountedSeparately) {
-  for (bool fast : {true, false}) {
-    TinyWorld world;
-    Simulator sim;
-    SimTransport transport(sim, world.catalog, world.backbone, world.clients);
-    transport.set_fast_path(fast);
-    transport.send(Address::region(TinyWorld::kA),
-                   Address::region(TinyWorld::kB), publication(500));
-    sim.run();
-    EXPECT_EQ(transport.dropped_count(), 1u) << "fast=" << fast;
-    EXPECT_EQ(transport.dropped_unregistered_count(), 1u) << "fast=" << fast;
-    // A drop at a down region is NOT an unregistered drop.
-    transport.set_region_down(TinyWorld::kC, true);
-    transport.send(Address::region(TinyWorld::kA),
-                   Address::region(TinyWorld::kC), publication(500));
-    sim.run();
-    EXPECT_EQ(transport.dropped_count(), 2u) << "fast=" << fast;
-    EXPECT_EQ(transport.dropped_unregistered_count(), 1u) << "fast=" << fast;
-  }
-}
-
-TEST_F(TransportTest, FastAndLegacyPathsDeliverIdentically) {
-  for (bool fast : {true, false}) {
-    TinyWorld world;
-    Simulator sim;
-    SimTransport transport(sim, world.catalog, world.backbone, world.clients);
-    transport.set_fast_path(fast);
-    EXPECT_EQ(transport.fast_path(), fast);
-    EXPECT_EQ(sim.legacy_scheduling(), !fast);
-
-    std::vector<std::pair<Millis, wire::Message>> got;
-    transport.register_handler(Address::region(TinyWorld::kB),
-                               [&](const wire::Message& m) {
-                                 got.emplace_back(sim.now(), m);
-                               });
-    wire::Message msg = publication(777);
-    msg.seq = 13;
-    transport.send(Address::region(TinyWorld::kA),
-                   Address::region(TinyWorld::kB), msg);
-    sim.run();
-    ASSERT_EQ(got.size(), 1u) << "fast=" << fast;
-    EXPECT_DOUBLE_EQ(got[0].first, 80.0) << "fast=" << fast;
-    EXPECT_EQ(got[0].second, msg) << "fast=" << fast;
-    EXPECT_EQ(transport.ledger().inter_region_bytes[0], 777u);
-  }
+  transport_.send(Address::region(TinyWorld::kA),
+                  Address::region(TinyWorld::kB), publication(500));
+  sim_.run();
+  EXPECT_EQ(transport_.dropped_count(), 1u);
+  EXPECT_EQ(transport_.dropped_unregistered_count(), 1u);
+  // A drop at a down region is NOT an unregistered drop.
+  transport_.set_region_down(TinyWorld::kC, true);
+  transport_.send(Address::region(TinyWorld::kA),
+                  Address::region(TinyWorld::kC), publication(500));
+  sim_.run();
+  EXPECT_EQ(transport_.dropped_count(), 2u);
+  EXPECT_EQ(transport_.dropped_unregistered_count(), 1u);
 }
 
 TEST_F(TransportTest, RegionDyingMidFlightDropsArrivalsOnBothPaths) {
   // A message already in flight towards a region that dies before it lands
   // is discarded on arrival: the bytes were billed at departure, but a dead
-  // datacenter processes nothing. Both scheduling paths must agree.
-  for (const bool fast : {true, false}) {
+  // datacenter processes nothing. send() and send_batch() must agree.
+  for (const bool batch : {false, true}) {
     TinyWorld world;
     Simulator sim;
     SimTransport transport(sim, world.catalog, world.backbone, world.clients);
-    transport.set_fast_path(fast);
+    const Address from = Address::region(TinyWorld::kA);
+    const std::vector<Address> to = {Address::region(TinyWorld::kB)};
+    const auto send = [&] {
+      if (batch) {
+        transport.send_batch(from, to, publication(500),
+                             wire::MessageType::kPublish);
+      } else {
+        transport.send(from, to.front(), publication(500));
+      }
+    };
 
     std::uint64_t delivered = 0;
-    transport.register_handler(Address::region(TinyWorld::kB),
+    transport.register_handler(to.front(),
                                [&](const wire::Message&) { ++delivered; });
 
     // A -> B takes 80 ms; B dies at t=40, while the message is in flight.
-    transport.send(Address::region(TinyWorld::kA),
-                   Address::region(TinyWorld::kB), publication(500));
+    send();
     sim.schedule_at(40.0, [&] {
       transport.set_region_down(TinyWorld::kB, true);
     });
     sim.run();
 
-    EXPECT_EQ(delivered, 0u) << "fast=" << fast;
-    EXPECT_EQ(transport.sent_count(), 1u) << "fast=" << fast;
-    EXPECT_EQ(transport.dropped_count(), 1u) << "fast=" << fast;
-    EXPECT_EQ(transport.dropped_dead_arrival_count(), 1u) << "fast=" << fast;
-    EXPECT_EQ(transport.delivered_count(), 0u) << "fast=" << fast;
+    EXPECT_EQ(delivered, 0u) << "batch=" << batch;
+    EXPECT_EQ(transport.sent_count(), 1u) << "batch=" << batch;
+    EXPECT_EQ(transport.dropped_count(), 1u) << "batch=" << batch;
+    EXPECT_EQ(transport.dropped_dead_arrival_count(), 1u) << "batch=" << batch;
+    EXPECT_EQ(transport.delivered_count(), 0u) << "batch=" << batch;
+    EXPECT_EQ(transport.publish_drop_count(TopicId{0}), 1u)
+        << "batch=" << batch;
     // Billed at departure regardless: the bytes left A.
     EXPECT_EQ(transport.ledger().inter_region_bytes[TinyWorld::kA.index()],
               500u);
 
     // After the region recovers, traffic flows (and is counted) again.
     transport.set_region_down(TinyWorld::kB, false);
-    transport.send(Address::region(TinyWorld::kA),
-                   Address::region(TinyWorld::kB), publication(500));
+    send();
     sim.run();
-    EXPECT_EQ(delivered, 1u) << "fast=" << fast;
-    EXPECT_EQ(transport.delivered_count(), 1u) << "fast=" << fast;
+    EXPECT_EQ(delivered, 1u) << "batch=" << batch;
+    EXPECT_EQ(transport.delivered_count(), 1u) << "batch=" << batch;
   }
 }
 

@@ -71,6 +71,18 @@ TEST(CliValidation, BenchRejectsMoreShardsThanRegions) {
   EXPECT_NE(out.text.find("K <= regions"), std::string::npos) << out.text;
 }
 
+TEST(CliValidation, BenchRejectsMalformedShardCounts) {
+  // 2^32 + 2 would truncate to 2 shards; "4abc" would parse as 4.
+  for (const char* mode : {"shards=4294967298", "shards=4abc"}) {
+    const auto out = run_cli(build_dir() +
+                             "/bench/bench_dataplane --pubs 100 --mode " +
+                             mode);
+    EXPECT_EQ(out.exit_code, 2) << mode << "\n" << out.text;
+    EXPECT_NE(out.text.find("needs an integer K"), std::string::npos)
+        << out.text;
+  }
+}
+
 TEST(CliValidation, ReliableFlagIsAcceptedByAllThreeBinaries) {
   // `--reliable on` must pass flag validation everywhere the reliability
   // layer can run. The node binary is probed up to the scenario-file open
