@@ -236,7 +236,9 @@ TEST_P(CohortDiff, ReliableControlKeepsPlanesIdenticalUnderDropSchedules) {
 
   // One permanently-active drop rule per system, same seed: region-origin
   // links only (deliveries and forwards), so both planes draw identical
-  // per-link coin streams.
+  // per-link coin streams. A delay rule on the same links stretches every
+  // client-bound hop too, so the cohort plane's per-member replay must
+  // apply each member's delay exactly as the per-client plane does.
   net::FaultPlan plan_a(909);
   net::FaultPlan plan_b(909);
   net::FaultRule drop;
@@ -244,8 +246,16 @@ TEST_P(CohortDiff, ReliableControlKeepsPlanesIdenticalUnderDropSchedules) {
   drop.from = net::FaultEndpoint::any_region();
   drop.to = net::FaultEndpoint::any();
   drop.drop_probability = 0.25;
-  plan_a.add(drop);
-  plan_b.add(drop);
+  net::FaultRule delay;
+  delay.kind = net::FaultRule::Kind::kDelay;
+  delay.from = net::FaultEndpoint::any_region();
+  delay.to = net::FaultEndpoint::any();
+  delay.delay_factor = 1.5;
+  delay.delay_extra_ms = 7.0;
+  for (net::FaultPlan* plan : {&plan_a, &plan_b}) {
+    plan->add(drop);
+    plan->add(delay);
+  }
   per_client.transport().set_fault_plan(&plan_a);
   cohort.transport().set_fault_plan(&plan_b);
 
@@ -258,6 +268,8 @@ TEST_P(CohortDiff, ReliableControlKeepsPlanesIdenticalUnderDropSchedules) {
   Rng rng_rounds(556);
   const TopicId topic = scenario.topic.topic;
   RegionId failed{-1};
+  testutil::Digest digest_a, digest_b;
+  std::vector<std::uint64_t> chain;
   for (int round = 0; round < 8; ++round) {
     const double rate_hz = rng_rounds.uniform(0.5, 3.0);
     const auto a = per_client.run_interval(10.0, 1024, rate_hz, traffic_a);
@@ -288,11 +300,21 @@ TEST_P(CohortDiff, ReliableControlKeepsPlanesIdenticalUnderDropSchedules) {
     ASSERT_EQ(collect_metrics(per_client).render(),
               collect_metrics(cohort).render())
         << "round " << round;
+    testutil::fold_live_round(digest_a, per_client, a);
+    testutil::fold_live_round(digest_b, cohort, b);
+    chain.push_back(digest_a.value());
   }
   ASSERT_NE(failed.value(), -1);
   // The rule really fired — this was not a vacuous pass.
   EXPECT_GT(plan_a.random_dropped(), 0u);
   EXPECT_EQ(plan_a.random_dropped(), plan_b.random_dropped());
+  // Golden: the digest chain both planes produced while the cohort plane
+  // still had its own hand-written per-member hops (DESIGN.md §9). Both
+  // control-plane pipelines reach the same decisions here, so one constant
+  // pins both parameterizations.
+  const std::uint64_t golden = 0x1c310d1446b0df35ULL;
+  EXPECT_EQ(digest_a.value(), golden) << testutil::render_chain(chain);
+  EXPECT_EQ(digest_b.value(), golden) << testutil::render_chain(chain);
 }
 
 INSTANTIATE_TEST_SUITE_P(ControlPlane, CohortDiff, ::testing::Bool(),
