@@ -60,12 +60,12 @@ SimTransport::SimTransport(Simulator& sim, const geo::RegionCatalog& catalog,
       catalog_(&catalog),
       backbone_(&backbone),
       clients_(&clients),
-      region_handlers_(catalog.size()),
       region_down_(catalog.size(), false),
       bills_(catalog.size()),
       ledger_(catalog.size()) {
   MP_EXPECTS(catalog.size() == backbone.size());
   MP_EXPECTS(catalog.size() == clients.n_regions());
+  handler_table(Address::Kind::kRegion).resize(catalog.size());
   lanes_.push_back(std::make_unique<ShardLane>());
 }
 
@@ -158,9 +158,7 @@ void SimTransport::register_handler(Address address, Handler handler) {
   // single-threaded dispatch or between runs.
   MP_EXPECTS(!sim_->sharded() || !sim_->dispatching());
   const auto index = static_cast<std::size_t>(address.id);
-  auto& dense = address.kind == Address::Kind::kClient   ? client_handlers_
-                : address.kind == Address::Kind::kRegion ? region_handlers_
-                                                         : cohort_handlers_;
+  auto& dense = handler_table(address.kind);
   if (index >= dense.size()) dense.resize(index + 1);
   // Growing the deque above is safe mid-delivery (existing elements stay
   // put), but overwriting the std::function deliver() is currently invoking
@@ -174,9 +172,7 @@ void SimTransport::unregister_handler(Address address) {
   MP_EXPECTS(address.id >= 0);
   MP_EXPECTS(!sim_->sharded() || !sim_->dispatching());
   const auto index = static_cast<std::size_t>(address.id);
-  auto& dense = address.kind == Address::Kind::kClient   ? client_handlers_
-                : address.kind == Address::Kind::kRegion ? region_handlers_
-                                                         : cohort_handlers_;
+  auto& dense = handler_table(address.kind);
   if (index < dense.size()) {
     MP_EXPECTS(&dense[index] != lane(sim_->current_shard()).active_handler &&
                "cannot remove a handler from within its own delivery");
@@ -186,10 +182,7 @@ void SimTransport::unregister_handler(Address address) {
 
 const SimTransport::Handler* SimTransport::find_handler(
     Address address) const {
-  const auto& dense = address.kind == Address::Kind::kClient ? client_handlers_
-                      : address.kind == Address::Kind::kRegion
-                          ? region_handlers_
-                          : cohort_handlers_;
+  const auto& dense = handler_table(address.kind);
   const auto index = static_cast<std::size_t>(address.id);
   if (index >= dense.size() || !dense[index]) return nullptr;
   return &dense[index];
@@ -346,20 +339,12 @@ void SimTransport::deliver(const DeliveryEvent& event) {
   // a dead datacenter processes nothing.
   if (event.to.kind == Address::Kind::kRegion &&
       region_down(event.to.as_region())) {
-    dropped_.add(shard, weight);
-    dropped_dead_arrival_.add(shard, weight);
-    if (event.msg.type == wire::MessageType::kPublish) {
-      lane(shard).publish_drops[event.msg.topic.value()] += weight;
-    }
+    drop(shard, event.msg, weight, &dropped_dead_arrival_);
     return;
   }
   const Handler* handler = find_handler(event.to);
   if (handler == nullptr) {
-    dropped_.add(shard, weight);
-    dropped_unregistered_.add(shard, weight);
-    if (event.msg.type == wire::MessageType::kPublish) {
-      lane(shard).publish_drops[event.msg.topic.value()] += weight;
-    }
+    drop(shard, event.msg, weight, &dropped_unregistered_);
     return;
   }
   delivered_.add(shard, weight);
@@ -372,33 +357,44 @@ void SimTransport::deliver(const DeliveryEvent& event) {
   self.active_handler = previous;
 }
 
+void SimTransport::drop_sender_down(std::uint64_t copies) {
+  const std::size_t shard = sim_->current_shard();
+  dropped_.add(shard, copies);
+  dropped_sender_down_.add(shard, copies);
+}
+
+void SimTransport::drop(std::size_t shard, const wire::Message& msg,
+                        std::uint32_t weight, ShardedCounter* reason) {
+  dropped_.add(shard, weight);
+  if (reason != nullptr) reason->add(shard, weight);
+  if (msg.type == wire::MessageType::kPublish) {
+    lane(shard).publish_drops[msg.topic.value()] += weight;
+  }
+}
+
 SimTransport::SendCall SimTransport::open_call(Address from,
                                                const wire::Message& msg) {
   SendCall call{from, sim_->share(msg), sim_->current_shard(),
                 &lane(sim_->owner_shard(from))};
   if (from.kind == Address::Kind::kRegion) {
     call.bill = &bills_[from.as_region().index()];
-    call.billable = msg.billable_bytes() * msg.weight;
+    call.billable = msg.billable_bytes();
   }
   return call;
 }
 
-// Inlined into both callers: an out-of-line hop per target costs the fan-out
-// loop measurably (DESIGN.md §9).
-[[gnu::always_inline]] inline void SimTransport::send_hop(SendCall& call,
-                                                          Address to,
-                                                          ClientId subscriber) {
+// Inlined into every caller: an out-of-line hop per target costs the
+// fan-out loop measurably (DESIGN.md §9).
+[[gnu::always_inline]] inline void SimTransport::send_hop(
+    SendCall& call, Address to, ClientId subscriber, std::uint32_t weight,
+    Address link) {
   const wire::Message& msg = *call.shared.msg;
   const Address from = call.from;
   const std::size_t shard = call.shard;
-  const std::uint32_t weight = msg.weight;
   // A message towards a dead destination is lost in transit.
   if (to.kind == Address::Kind::kRegion && region_down(to.as_region())) {
     sent_.add(shard, weight);
-    dropped_.add(shard, weight);
-    if (msg.type == wire::MessageType::kPublish) {
-      lane(shard).publish_drops[msg.topic.value()] += weight;
-    }
+    drop(shard, msg, weight, nullptr);
     return;
   }
 
@@ -422,16 +418,12 @@ SimTransport::SendCall SimTransport::open_call(Address from,
                  "mode");
       // No rule can match this hop: the per-client loop would have
       // consulted the plan and drawn nothing.
-    } else {
-      fault = fault_plan_->apply(from, to, sim_->now(),
-                                 coin_stream(*call.sender_lane, from, to));
+    } else if (link.kind != Address::Kind::kCohort) {
+      fault = fault_plan_->apply(from, link, sim_->now(),
+                                 coin_stream(*call.sender_lane, from, link));
       if (fault.dropped) {
         sent_.add(shard, weight);
-        dropped_.add(shard, weight);
-        dropped_faulted_.add(shard, weight);
-        if (msg.type == wire::MessageType::kPublish) {
-          lane(shard).publish_drops[msg.topic.value()] += weight;
-        }
+        drop(shard, msg, weight, &dropped_faulted_);
         return;
       }
     }
@@ -440,21 +432,25 @@ SimTransport::SendCall SimTransport::open_call(Address from,
   // Bill egress at the sender's tariff before the message is even delivered:
   // the bytes leave the region regardless of what happens downstream.
   if (call.bill != nullptr) {
+    const Bytes billed = call.billable * weight;
     if (to.kind == Address::Kind::kRegion) {
       if (call.topic_inter == nullptr) {
         call.topic_inter = &call.bill->topic_inter[msg.topic];
       }
-      call.bill->inter_region += call.billable;
-      *call.topic_inter += call.billable;
+      call.bill->inter_region += billed;
+      *call.topic_inter += billed;
     } else {
       if (call.topic_internet == nullptr) {
         call.topic_internet = &call.bill->topic_internet[msg.topic];
       }
-      call.bill->internet += call.billable;
-      *call.topic_internet += call.billable;
+      call.bill->internet += billed;
+      *call.topic_internet += billed;
     }
   }
 
+  // The delay expression is the same for every target kind, so a whole
+  // flock lands exactly when each member would (x * 1 + 0 is exact for the
+  // positive latencies the matrices hold).
   Millis delay = latency(from, to);
   if (jitter_.has_value()) {
     delay = jittered(*call.sender_lane, from, to, delay);
@@ -465,129 +461,71 @@ SimTransport::SendCall SimTransport::open_call(Address from,
                                 subscriber, weight);
 }
 
-void SimTransport::send(Address from, Address to, wire::Message msg) {
-  if (to.kind == Address::Kind::kCohort) {
-    // The caller (a broker or region manager) set msg.weight to the number
-    // of per-client copies this send stands for.
-    send_cohort(from, to, sim_->share(msg), msg.weight);
-    return;
-  }
-  // Outage handling: a dead region neither sends nor receives. A dead
-  // sender emits nothing (and bills nothing); send_hop drops messages
-  // towards a dead destination.
-  if (from.kind == Address::Kind::kRegion && region_down(from.as_region())) {
-    const std::size_t shard = sim_->current_shard();
-    dropped_.add(shard, msg.weight);
-    dropped_sender_down_.add(shard, msg.weight);
-    return;
-  }
-  SendCall call = open_call(from, msg);
-  send_hop(call, to, msg.subscriber);
-}
-
-void SimTransport::send_cohort(Address from, Address to,
-                               const Simulator::SharedMessage& shared,
-                               std::uint32_t weight) {
-  const wire::Message& msg = *shared.msg;
-  MP_EXPECTS(from.kind == Address::Kind::kRegion);
+void SimTransport::send_flock(SendCall& call, Address to,
+                              std::uint32_t weight) {
+  const wire::Message& msg = *call.shared.msg;
+  MP_EXPECTS(call.from.kind == Address::Kind::kRegion);
   MP_EXPECTS(directory_ != nullptr && !jitter_.has_value());
-  const std::size_t shard = sim_->current_shard();
-  if (region_down(from.as_region())) {
-    dropped_.add(shard, weight);
-    dropped_sender_down_.add(shard, weight);
-    return;
-  }
-  const std::int32_t flock = to.as_flock();
-  const Millis base = directory_->flock_latency(flock, from.as_region());
-  RegionBill& bill = bills_[from.as_region().index()];
-  const Bytes billable = msg.billable_bytes();
-
   if (msg.type == wire::MessageType::kReplayBatch && msg.subscriber.valid()) {
     // Member-addressed replay: one member asked, one member is served —
     // exactly the single send() the per-client plane performs, drawing the
     // member's own region->client coin.
-    const Address member_addr = Address::client(msg.subscriber);
-    FaultPlan::Outcome fault;
-    if (fault_plan_ != nullptr) {  // kReplayBatch is a data kind
-      ShardLane& sender_lane = lane(sim_->owner_shard(from));
-      fault = fault_plan_->apply(from, member_addr, sim_->now(),
-                                 coin_stream(sender_lane, from, member_addr));
-      if (fault.dropped) {
-        sent_.add(shard);
-        dropped_.add(shard);
-        dropped_faulted_.add(shard);
-        return;
-      }
-    }
-    bill.internet += billable;
-    bill.topic_internet[msg.topic] += billable;
-    const Millis delay = base * fault.delay_factor + fault.delay_extra_ms;
-    sent_.add(shard);
-    sim_->schedule_delivery_after(delay, *this, from, to, shared,
-                                  msg.subscriber, 1);
+    send_hop(call, to, msg.subscriber, 1, Address::client(msg.subscriber));
     return;
   }
-
   if (fault_plan_ != nullptr &&
       (!reliable_control_ || is_data_kind(msg.type)) &&
-      fault_plan_->may_affect_client_deliveries(from, sim_->now())) {
-    // Exact per-member replay: each member's drop coin comes from its own
+      fault_plan_->may_affect_client_deliveries(call.from, sim_->now())) {
+    // Exact per-member replay: each member's coin comes from its own
     // region->client link stream — the very streams the per-client plane
     // consumes — and survivors travel as weight-1 deliveries addressed to
     // the flock with the member stamped in `subscriber`.
-    ShardLane& sender_lane = lane(sim_->owner_shard(from));
-    for (const ClientId member : directory_->flock_members(flock)) {
-      const Address member_addr = Address::client(member);
-      const FaultPlan::Outcome fault = fault_plan_->apply(
-          from, member_addr, sim_->now(),
-          coin_stream(sender_lane, from, member_addr));
-      if (fault.dropped) {
-        sent_.add(shard);
-        dropped_.add(shard);
-        dropped_faulted_.add(shard);
-        continue;
-      }
-      bill.internet += billable;
-      bill.topic_internet[msg.topic] += billable;
-      const Millis delay = base * fault.delay_factor + fault.delay_extra_ms;
-      sent_.add(shard);
-      sim_->schedule_delivery_after(delay, *this, from, to, shared, member, 1);
+    for (const ClientId member : directory_->flock_members(to.as_flock())) {
+      send_hop(call, to, member, 1, Address::client(member));
     }
     return;
   }
+  // Whole flock: no active rule can touch region->client links, so the
+  // per-client loop would have drawn nothing and scheduled `weight`
+  // identical copies; one weighted delivery records the same books. A
+  // retired flock has nobody to deliver to.
+  if (weight == 0) return;
+  send_hop(call, to, ClientId{-1} /* whole-flock sentinel */, weight, to);
+}
 
-  // Whole-flock fast path: no active rule can touch region->client links,
-  // so the per-client loop would have drawn nothing and scheduled `weight`
-  // identical copies; one weighted delivery records the same books. The
-  // delay expression matches the per-client path bit for bit (x * 1 + 0 is
-  // exact for the positive latencies the matrices hold).
-  if (weight == 0) return;  // a retired flock has nobody to deliver to
-  bill.internet += billable * weight;
-  bill.topic_internet[msg.topic] += billable * weight;
-  const Millis delay = base * 1.0 + 0.0;
-  sent_.add(shard, weight);
-  sim_->schedule_delivery_after(delay, *this, from, to, shared,
-                                ClientId{-1},  // whole-flock sentinel
-                                weight);
+void SimTransport::send(Address from, Address to, wire::Message msg) {
+  // Outage handling: a dead region neither sends nor receives. A dead
+  // sender emits nothing (and bills nothing); send_hop drops messages
+  // towards a dead destination.
+  if (sender_down(from)) {
+    drop_sender_down(msg.weight);
+    return;
+  }
+  SendCall call = open_call(from, msg);
+  if (to.kind == Address::Kind::kCohort) {
+    // The caller (a broker or region manager) set msg.weight to the number
+    // of per-client copies this send stands for.
+    send_flock(call, to, msg.weight);
+  } else {
+    send_hop(call, to, msg.subscriber, msg.weight, to);
+  }
 }
 
 void SimTransport::send_batch(Address from, std::span<const Address> targets,
                               const wire::Message& msg,
                               wire::MessageType stamped_type) {
   if (targets.empty()) return;
-  if (from.kind == Address::Kind::kRegion && region_down(from.as_region())) {
-    // Exactly what the per-target send() loop records: one drop each,
+  if (sender_down(from)) {
+    // Exactly what the per-target send() loop records: one drop per copy,
     // nothing sent, nothing billed. Cohort targets weigh their member
-    // count, like the per-target loop would.
+    // count.
     std::uint64_t copies = 0;
     for (const Address to : targets) {
       copies += to.kind == Address::Kind::kCohort
                     ? directory_->flock_weight(to.as_flock())
                     : msg.weight;
     }
-    const std::size_t shard = sim_->current_shard();
-    dropped_.add(shard, copies);
-    dropped_sender_down_.add(shard, copies);
+    drop_sender_down(copies);
     return;
   }
 
@@ -599,17 +537,15 @@ void SimTransport::send_batch(Address from, std::span<const Address> targets,
   SendCall call = open_call(from, stamped);
   for (const Address to : targets) {
     if (to.kind == Address::Kind::kCohort) {
-      // One weighted hop (or an exact per-member replay inside fault
-      // windows) standing for the flock's member count.
-      send_cohort(from, to, call.shared,
-                  directory_->flock_weight(to.as_flock()));
+      send_flock(call, to, directory_->flock_weight(to.as_flock()));
       continue;
     }
     // Per-target stamp; region targets keep the original subscriber so a
     // mixed batch cannot leak one client's stamp into a broker-bound copy.
     send_hop(call, to,
              to.kind == Address::Kind::kClient ? to.as_client()
-                                               : msg.subscriber);
+                                               : msg.subscriber,
+             msg.weight, to);
   }
 }
 
