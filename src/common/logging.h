@@ -24,7 +24,8 @@ void log_line(LogLevel level, std::string_view component,
 }  // namespace detail
 
 /// Streams one log line on destruction:  `[level] component: message`.
-/// Usage: LogStream(LogLevel::kInfo, "controller") << "topic " << t;
+/// Usage: LogStream(LogLevel::kInfo, "controller") << "topic " << t; the
+/// MP_LOG_* macros below also skip evaluating the operands when filtered.
 class LogStream {
  public:
   LogStream(LogLevel level, std::string_view component)
@@ -51,11 +52,19 @@ class LogStream {
 
 }  // namespace multipub
 
+// Each macro tests the level before it constructs anything, so a filtered
+// line costs one level load: no LogStream, and no `<<` operand is
+// evaluated. The `if (...) {} else` form keeps the macro one statement, safe
+// under an enclosing if/else.
+#define MP_LOG_AT(level, component)            \
+  if ((level) < ::multipub::log_level()) {     \
+  } else                                       \
+    ::multipub::LogStream(level, component)
 #define MP_LOG_DEBUG(component) \
-  ::multipub::LogStream(::multipub::LogLevel::kDebug, component)
+  MP_LOG_AT(::multipub::LogLevel::kDebug, component)
 #define MP_LOG_INFO(component) \
-  ::multipub::LogStream(::multipub::LogLevel::kInfo, component)
+  MP_LOG_AT(::multipub::LogLevel::kInfo, component)
 #define MP_LOG_WARN(component) \
-  ::multipub::LogStream(::multipub::LogLevel::kWarn, component)
+  MP_LOG_AT(::multipub::LogLevel::kWarn, component)
 #define MP_LOG_ERROR(component) \
-  ::multipub::LogStream(::multipub::LogLevel::kError, component)
+  MP_LOG_AT(::multipub::LogLevel::kError, component)

@@ -57,6 +57,26 @@ TEST(Logging, SuppressedStreamSkipsOstreamFormatting) {
   EXPECT_EQ(formats, 1);  // at threshold: formatted (and emitted) once
 }
 
+TEST(Logging, FilteredMacroEvaluatesNoOperand) {
+  LevelGuard guard;
+  set_log_level(LogLevel::kError);
+  int evaluations = 0;
+  const auto operand = [&evaluations] { return ++evaluations; };
+  MP_LOG_INFO("test") << "operand " << operand();
+  EXPECT_EQ(evaluations, 0);  // filtered: the operand never ran
+  MP_LOG_ERROR("test") << "operand " << operand()
+                       << " (expected in test output)";
+  EXPECT_EQ(evaluations, 1);  // enabled: evaluated exactly once
+  // One statement, so it nests under an if without capturing its else.
+  bool else_taken = false;
+  if (evaluations == 0)
+    MP_LOG_ERROR("test") << operand();
+  else
+    else_taken = true;
+  EXPECT_TRUE(else_taken);
+  EXPECT_EQ(evaluations, 1);
+}
+
 TEST(Logging, MacrosCompileAndRun) {
   LevelGuard guard;
   set_log_level(LogLevel::kError);  // keep the test output quiet
