@@ -37,8 +37,8 @@ void Broker::set_topic_config(TopicId topic, const core::TopicConfig& config) {
     // serving set until clients have finished their handover.
     Drain& drain = draining_[topic];
     drain.regions = drain.regions | it->second.regions;
-    drain.until = clock_->now() + drain_grace_ms_;
-    clock_->schedule_after(drain_grace_ms_, [this, topic] {
+    drain.until = clock_->now() + kDrainGraceMs;
+    clock_->schedule_after(kDrainGraceMs, [this, topic] {
       const auto drain_it = draining_.find(topic);
       if (drain_it != draining_.end() &&
           clock_->now() >= drain_it->second.until) {

@@ -36,6 +36,10 @@ struct LatencyReport {
 
 class Broker {
  public:
+  /// How long the previous region set keeps receiving routed fan-out after
+  /// a reconfiguration.
+  static constexpr Millis kDrainGraceMs = 1000.0;
+
   /// Registers itself as the handler for Address::region(self) on the bus.
   /// Clock and bus must outlive the broker (the clock drives the
   /// reconfiguration drain windows). The broker is transport-agnostic: the
@@ -50,7 +54,7 @@ class Broker {
   ///
   /// Replacing an existing configuration starts a DRAIN window: routed
   /// publications keep being fanned out to the previous region set too for
-  /// `drain_grace()` ms, because remote subscribers re-attach asynchronously
+  /// kDrainGraceMs, because remote subscribers re-attach asynchronously
   /// and would otherwise miss the publications racing the reconfiguration.
   void set_topic_config(TopicId topic, const core::TopicConfig& config);
 
@@ -87,11 +91,6 @@ class Broker {
     return latency_reports_;
   }
   void clear_latency_reports() { latency_reports_.clear(); }
-
-  /// How long the previous region set keeps receiving routed fan-out after
-  /// a reconfiguration.
-  void set_drain_grace(Millis grace_ms) { drain_grace_ms_ = grace_ms; }
-  [[nodiscard]] Millis drain_grace() const { return drain_grace_ms_; }
 
   /// Regions currently in the drain window for a topic (empty set when
   /// none).
@@ -199,7 +198,6 @@ class Broker {
   /// Emits one kStateDelta for a table mutation (no-op unless reliable with
   /// a standby and sync enabled).
   void emit_state_delta(wire::Message delta);
-  void bump_state_seq() { if (reliable_) ++state_seq_; }
   /// Streams begin marker + config entries + subscription entries + end
   /// marker describing `owner`'s state to region `to`. When owner == self_
   /// the broker's own tables are streamed; otherwise the hosted replica.
@@ -242,7 +240,6 @@ class Broker {
   // high-water mark is reached.
   std::vector<net::Address> fanout_scratch_;
   std::vector<net::Address> deliver_scratch_;
-  Millis drain_grace_ms_ = 1000.0;
   std::uint64_t delivered_ = 0;
   std::uint64_t forwarded_ = 0;
   std::uint64_t drain_forwarded_ = 0;

@@ -94,7 +94,6 @@ class FaultPlan {
   int add(const FaultRule& rule);
   void remove(int id);
   void clear() { rules_.clear(); }
-  [[nodiscard]] std::size_t active_rules() const { return rules_.size(); }
 
   /// What the plan decided for one message on the (from -> to) link at
   /// virtual time `now`.
@@ -122,9 +121,9 @@ class FaultPlan {
 
   /// True when some rule active at `now` could apply to a client-bound hop
   /// from `from` (its to-pattern is able to match a client endpoint). The
-  /// cohort fast path uses this to decide between one whole-flock send
-  /// (exact when no rule can touch the link) and an exact per-member replay
-  /// that draws the same per-client coins as the uncompressed plane.
+  /// transport uses this to pick a cohort target's hop shape: one
+  /// whole-flock hop (exact when no rule can touch the link) or one hop per
+  /// member, drawing the same per-client coins as the uncompressed plane.
   [[nodiscard]] bool may_affect_client_deliveries(Address from,
                                                   Millis now) const;
 
