@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -90,11 +91,14 @@ class BenchReport {
  public:
   explicit BenchReport(std::string name) : name_(std::move(name)) {}
 
-  /// Every row leads with peak_rss_bytes, captured at row creation, so all
-  /// benches publish their memory footprint without per-binary plumbing.
+  /// Every row leads with peak_rss_bytes, captured at row creation, and the
+  /// host's hardware_concurrency, so all benches publish their memory
+  /// footprint and the machine they ran on without per-binary plumbing.
   JsonRow& row() {
     rows_.emplace_back();
-    rows_.back().uinteger("peak_rss_bytes", peak_rss_bytes());
+    rows_.back()
+        .uinteger("peak_rss_bytes", peak_rss_bytes())
+        .uinteger("hardware_concurrency", std::thread::hardware_concurrency());
     return rows_.back();
   }
 
