@@ -12,9 +12,11 @@
 //
 // The weighted counter books (sent, broker-delivered, client deliveries,
 // per-region billed bytes) must be IDENTICAL between the planes at equal
-// scale — compression changes the event count, never the observables.
-// Prints a table and writes BENCH_clients.json (one row per (plane, N),
-// every row carrying peak_rss_bytes).
+// scale — compression changes the event count, never the observables. The
+// timed region repeats the publication workload until it lasts >= 100 ms
+// (the books compare the first pass), and each (plane, N) row runs in a
+// forked child whose own peak RSS the row reports. Prints a table and
+// writes BENCH_clients.json (one row per (plane, N)).
 //
 // Exit gates:
 //   - weighted counter divergence between the planes at any size fails
@@ -38,14 +40,17 @@
 // comparison is skipped — the cohort column shrinking as MS grows is the
 // observable.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_json.h"
+#include "publication_source.h"
 #include "broker/broker.h"
 #include "client/client_registry.h"
 #include "client/cohort_pool.h"
@@ -74,16 +79,32 @@ constexpr std::size_t kTopics = 32;
 constexpr Bytes kPayload = 1024;
 constexpr std::uint64_t kWorldSeed = 4242;
 
-struct RunResult {
-  double seconds = 0.0;
-  std::uint64_t events = 0;
+/// The timed region repeats the publication workload until it lasts at
+/// least this long, so a plane that needs only a few thousand events per
+/// pass is still timed over a span the clock resolves.
+constexpr double kMinTimedSeconds = 0.1;
+
+/// Weighted counter books after the first publication pass (settle
+/// included). They must coincide between the planes at equal N.
+struct Books {
   std::uint64_t weighted_deliveries = 0;
   std::uint64_t sent = 0;
   std::uint64_t dropped = 0;
   std::uint64_t delivered = 0;
   std::uint64_t forwarded = 0;
-  std::vector<Bytes> inter_region_bytes;
-  std::vector<Bytes> internet_bytes;
+  std::array<Bytes, kRegions> inter_region_bytes{};
+  std::array<Bytes, kRegions> internet_bytes{};
+
+  bool operator==(const Books&) const = default;
+};
+
+/// Trivially copyable: it crosses the run_in_child pipe as plain bytes.
+struct RunResult {
+  double seconds = 0.0;     // the whole timed region, every pass
+  std::uint64_t passes = 0;
+  std::uint64_t events = 0;               // over every pass
+  std::uint64_t weighted_deliveries = 0;  // over every pass
+  Books books;
   std::size_t cohorts = 0;  // 0 on the per-client plane
   std::size_t flocks = 0;
   std::size_t rows = 0;  // distinct interned latency rows (cohort plane)
@@ -104,34 +125,10 @@ geo::RegionSet serving_set(std::size_t topic) {
   return serving;
 }
 
-/// Self-rescheduling publication source, one per topic (the bench_dataplane
-/// recipe): dense enough to keep a deep in-flight window.
-struct Driver {
-  net::Simulator* sim;
-  net::SimTransport* transport;
-  TopicId topic;
-  ClientId publisher;
-  RegionId entry;
-  std::uint64_t remaining;
-  std::uint64_t seq = 0;
-
-  void fire() {
-    wire::Message msg;
-    msg.type = wire::MessageType::kPublish;
-    msg.topic = topic;
-    msg.publisher = publisher;
-    msg.seq = seq++;
-    msg.published_at = sim->now();
-    msg.payload_bytes = kPayload;
-    msg.config_mode = wire::WireMode::kRouted;
-    transport->send(net::Address::client(publisher),
-                    net::Address::region(entry), msg);
-    if (--remaining > 0) sim->schedule_after(0.8, [this] { fire(); });
-  }
-};
-
-/// Runs `pubs_per_topic` publications per topic against `n_clients`
-/// subscribers on the chosen plane and returns the counter books.
+/// Runs passes of `pubs_per_topic` publications per topic against
+/// `n_clients` subscribers on the chosen plane until the timed region
+/// reaches kMinTimedSeconds, and returns the timing and the first pass's
+/// books.
 RunResult run_plane(bool cohorts, std::size_t n_clients,
                     std::uint64_t pubs_per_topic, double quantize_ms) {
   Rng world_rng(kWorldSeed);
@@ -236,52 +233,54 @@ RunResult run_plane(bool cohorts, std::size_t n_clients,
   }
   sim.run();  // settle the handshakes outside the measurement
 
-  std::vector<std::unique_ptr<Driver>> drivers;
+  // One source per topic; publisher = position client t (< 64), present in
+  // both planes' maps.
+  std::vector<std::unique_ptr<bench::PublicationSource>> sources;
   for (std::size_t t = 0; t < kTopics; ++t) {
-    auto driver = std::make_unique<Driver>();
-    driver->sim = &sim;
-    driver->transport = &transport;
-    driver->topic = TopicId{static_cast<TopicId::underlying_type>(t)};
-    // Publisher = position client t (< 64), present in both planes' maps.
-    driver->publisher =
+    sources.push_back(std::make_unique<bench::PublicationSource>(
+        &sim, &transport, TopicId{static_cast<TopicId::underlying_type>(t)},
         ClientId{static_cast<ClientId::underlying_type>(
-            static_cast<std::int64_t>(t))};
-    driver->entry = serving_set(t).first();
-    driver->remaining = pubs_per_topic;
-    Driver* raw = driver.get();
-    sim.schedule_at(sim.now() + static_cast<double>(t) * 0.01,
-                    [raw] { raw->fire(); });
-    drivers.push_back(std::move(driver));
+            static_cast<std::int64_t>(t))},
+        serving_set(t).first()));
   }
+  const auto weighted_deliveries = [&] {
+    return cohorts ? pool->total_delivery_weight() : per_client_deliveries;
+  };
 
+  // Every pass replays the same workload; sequence numbers run on.
   const std::uint64_t processed_before = sim.processed();
   const auto t0 = std::chrono::steady_clock::now();
-  sim.run();
-  result.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  do {
+    for (std::size_t t = 0; t < kTopics; ++t) {
+      bench::PublicationSource* raw = sources[t].get();
+      raw->remaining = pubs_per_topic;
+      sim.schedule_at(sim.now() + static_cast<double>(t) * 0.01,
+                      [raw] { raw->fire(); });
+    }
+    sim.run();
+    if (++result.passes == 1) {
+      Books& books = result.books;
+      books.weighted_deliveries = weighted_deliveries();
+      books.sent = transport.sent_count();
+      books.dropped = transport.dropped_count();
+      for (const auto& b : brokers) {
+        books.delivered += b->delivered_count();
+        books.forwarded += b->forwarded_count();
+      }
+      const auto& ledger = transport.ledger();
+      std::copy(ledger.inter_region_bytes.begin(),
+                ledger.inter_region_bytes.end(),
+                books.inter_region_bytes.begin());
+      std::copy(ledger.internet_bytes.begin(), ledger.internet_bytes.end(),
+                books.internet_bytes.begin());
+    }
+    result.seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+  } while (result.seconds < kMinTimedSeconds);
   result.events = sim.processed() - processed_before;
-  result.weighted_deliveries =
-      cohorts ? pool->total_delivery_weight() : per_client_deliveries;
-  result.sent = transport.sent_count();
-  result.dropped = transport.dropped_count();
-  for (const auto& b : brokers) {
-    result.delivered += b->delivered_count();
-    result.forwarded += b->forwarded_count();
-  }
-  result.inter_region_bytes = transport.ledger().inter_region_bytes;
-  result.internet_bytes = transport.ledger().internet_bytes;
+  result.weighted_deliveries = weighted_deliveries();
   return result;
-}
-
-bool books_identical(const RunResult& a, const RunResult& b) {
-  // Everything weighted must coincide; the EVENT counts differ by design —
-  // that difference is the entire point of the cohort plane.
-  return a.weighted_deliveries == b.weighted_deliveries && a.sent == b.sent &&
-         a.dropped == b.dropped && a.delivered == b.delivered &&
-         a.forwarded == b.forwarded &&
-         a.inter_region_bytes == b.inter_region_bytes &&
-         a.internet_bytes == b.internet_bytes;
 }
 
 /// LiveSystem differential: the full middleware (controller, region
@@ -298,8 +297,7 @@ int run_verify(std::size_t n_clients) {
       {{RegionId{0}, 2, 3}, {RegionId{5}, 2, 3}}, workload, rng);
 
   sim::LiveSystem per_client(scenario);
-  sim::LiveSystem cohorts(scenario);
-  cohorts.set_cohorts(true);
+  sim::LiveSystem cohorts(scenario, {.cohorts = true});
   const core::TopicConfig bootstrap{geo::RegionSet::universe(10),
                                     core::DeliveryMode::kRouted};
   per_client.deploy(bootstrap);
@@ -356,31 +354,25 @@ int main(int argc, char** argv) {
   flags.allow_only({"help", "clients", "cohorts", "pubs", "max-per-client",
                     "quantize-ms", "verify"});
   const long clients_flag = flags.get_int("clients", 0);
-  const std::string cohorts_mode = flags.get("cohorts", "both");
+  // nullopt: both planes.
+  const std::optional<bool> cohorts_only = flags.get_on_off_both("cohorts");
   const auto pubs_per_topic = static_cast<std::uint64_t>(
       std::max(1L, flags.get_int("pubs", 20)));
   const auto max_per_client = static_cast<std::size_t>(
       std::max(0L, flags.get_int("max-per-client", 1000000)));
   const double quantize_ms = flags.get_double("quantize-ms", 0.0);
-  if (!flags.errors().empty() ||
-      (cohorts_mode != "both" && cohorts_mode != "on" &&
-       cohorts_mode != "off") ||
-      clients_flag < 0 || quantize_ms < 0.0) {
-    for (const auto& error : flags.errors()) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-    }
+  const bool verify = flags.get_bool("verify", false);
+  if (quantize_ms > 0.0 && verify) {
+    flags.error(
+        "--quantize-ms is incompatible with --verify: the differential "
+        "asserts bit-identity, which only exact rows provide");
+  }
+  if (flags.print_errors() || clients_flag < 0 || quantize_ms < 0.0) {
     std::fprintf(stderr, "see --help\n");
     return 2;
   }
-  if (quantize_ms > 0.0 && flags.get_bool("verify", false)) {
-    std::fprintf(stderr,
-                 "--quantize-ms is incompatible with --verify: the "
-                 "differential asserts bit-identity, which only exact rows "
-                 "provide\n");
-    return 2;
-  }
 
-  if (flags.get_bool("verify", false)) {
+  if (verify) {
     return run_verify(clients_flag > 0 ? static_cast<std::size_t>(clients_flag)
                                        : 10000);
   }
@@ -407,8 +399,9 @@ int main(int argc, char** argv) {
   unsigned long long largest_cohort_rss = 0;
   for (const std::size_t n : counts) {
     RunResult per_client;
-    const bool ran_per_client = cohorts_mode != "on" && n <= max_per_client;
-    const bool ran_cohorts = cohorts_mode != "off";
+    const bool ran_per_client =
+        !cohorts_only.value_or(false) && n <= max_per_client;
+    const bool ran_cohorts = cohorts_only.value_or(true);
     struct PlaneRow {
       const char* label;
       bool cohorts;
@@ -418,15 +411,22 @@ int main(int argc, char** argv) {
                                {"cohort", true, ran_cohorts}};
     for (const PlaneRow& plane : planes) {
       if (!plane.ran) continue;
-      const RunResult r =
-          run_plane(plane.cohorts, n, pubs_per_topic, quantize_ms);
+      // One child process per row: its peak RSS is this row's alone.
+      const auto run = bench::run_in_child([&] {
+        return run_plane(plane.cohorts, n, pubs_per_topic, quantize_ms);
+      });
+      if (!run.has_value()) {
+        std::fprintf(stderr, "%s plane at %zu clients failed\n", plane.label,
+                     n);
+        return 1;
+      }
+      const RunResult& r = run->result;
       if (!plane.cohorts) per_client = r;
       // Quantized rows legitimately re-route flocks (a bucketed row may pick
       // a different closest serving region), so the books only have to
       // coincide at bucket 0.
       const bool identical = !plane.cohorts || !ran_per_client ||
-                             quantize_ms > 0.0 ||
-                             books_identical(r, per_client);
+                             quantize_ms > 0.0 || r.books == per_client.books;
       all_identical = all_identical && identical;
       if (plane.cohorts && ran_per_client && n >= 1'000'000) {
         gate_checked = true;
@@ -435,7 +435,7 @@ int main(int argc, char** argv) {
           gate_10x_ok = false;
         }
       }
-      const unsigned long long rss = bench::peak_rss_bytes();
+      const unsigned long long rss = run->peak_rss_bytes;
       if (plane.cohorts) largest_cohort_rss = rss;
       std::printf("%-10s %12zu %10zu %6zu %14llu %10.3f %20.0f %12.1f%s\n",
                   plane.label, n, r.cohorts, r.rows,
@@ -443,14 +443,15 @@ int main(int argc, char** argv) {
                   r.per_sec(r.weighted_deliveries),
                   static_cast<double>(rss) / 1e6,
                   identical ? "" : "  BOOKS DIVERGED");
-      report.row()
+      report.row(rss)
           .str("plane", plane.label)
           .uinteger("clients", n)
           .uinteger("cohorts", r.cohorts)
           .uinteger("flocks", r.flocks)
           .uinteger("latency_rows", r.rows)
           .num("quantize_ms", quantize_ms)
-          .uinteger("publications", pubs_per_topic * kTopics)
+          .uinteger("passes", r.passes)
+          .uinteger("publications", r.passes * pubs_per_topic * kTopics)
           .uinteger("events", r.events)
           .num("seconds", r.seconds)
           .num("events_per_sec", r.per_sec(r.events))

@@ -47,6 +47,7 @@
 // mode both, topology placement, adaptive windows; single-configuration
 // --mode values are for profiling and skip the comparison gates)
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -57,6 +58,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "publication_source.h"
 #include "broker/broker.h"
 #include "client/client_registry.h"
 #include "client/cohort_pool.h"
@@ -71,6 +73,7 @@
 #include "net/shard_placement.h"
 #include "net/simulator.h"
 #include "net/transport.h"
+#include "sim/live_runner.h"
 #include "wire/message.h"
 
 using namespace multipub;
@@ -78,10 +81,10 @@ using namespace multipub;
 namespace {
 
 constexpr std::size_t kDefaultRegions = 40;
+constexpr std::size_t kMaxRegions = 64;  // synthesize_world's cap
 constexpr std::size_t kDefaultClients = 10000;
 constexpr std::size_t kTopics = 500;
 constexpr std::size_t kSubsPerTopic = 50;
-constexpr Bytes kPayload = 1024;
 constexpr std::uint64_t kWorldSeed = 4242;
 constexpr std::uint64_t kMembersSeed = 4243;
 
@@ -94,8 +97,10 @@ struct RunResult {
   std::uint64_t delivered = 0;
   std::uint64_t forwarded = 0;
   std::uint64_t client_deliveries = 0;
-  std::vector<Bytes> inter_region_bytes;
-  std::vector<Bytes> internet_bytes;
+  // Ledger byte vectors, zero past the world's region count (fixed-size so
+  // a result crosses the run_in_child pipe as plain bytes).
+  std::array<Bytes, kMaxRegions> inter_region_bytes{};
+  std::array<Bytes, kMaxRegions> internet_bytes{};
   /// Window telemetry of the measured phase (delta over the setup phase;
   /// all zeros for the unsharded engine).
   net::WindowStats windows;
@@ -193,36 +198,14 @@ RunResult run_engine(const EngineConfig& engine, std::uint64_t total_pubs,
   }
 
   if (engine.shards > 1) {
-    // The LiveSystem partitioning recipe: regions placed by the engine's
-    // strategy (round-robin or topology clustering), clients follow their
-    // home region so the client<->home-broker chatter stays intra-shard;
-    // windows derive from the cross-shard lookahead matrix. Flocks run on
-    // their home region's shard.
-    net::ShardMap map;
-    map.shards = engine.shards;
-    map.region_shard = net::partition_regions(engine.placement,
-                                              world.backbone, engine.shards);
-    for (std::size_t c = 0; c < population.size(); ++c) {
-      map.client_shard.push_back(
-          map.region_shard[static_cast<std::size_t>(
-              population.home_region[c].value())]);
-    }
-    if (pool != nullptr) {
-      pool->freeze();
-      map.cohort_shard.resize(pool->flock_count());
-      for (std::size_t f = 0; f < map.cohort_shard.size(); ++f) {
-        map.cohort_shard[f] =
-            map.region_shard[static_cast<std::size_t>(
-                pool->flock_home(static_cast<std::int32_t>(f)).value())];
-      }
-    }
-    const Millis lookahead = transport.min_cross_shard_latency(map);
-    const std::vector<Millis> lookaheads =
-        transport.cross_shard_lookaheads(map);
-    transport.set_shards(engine.shards);
-    sim.configure_shards(std::move(map), lookahead);
-    sim.set_window_policy(engine.policy);
-    sim.set_lookahead_matrix(lookaheads);
+    // LiveSystem's recipe: regions placed by the engine's strategy, clients
+    // and flocks on their home region's shard, windows from the cross-shard
+    // lookahead matrix.
+    sim::shard_data_plane(sim, transport, world.backbone,
+                          population.home_region, pool.get(),
+                          {.shards = engine.shards,
+                           .placement = engine.placement,
+                           .window_policy = engine.policy});
   }
 
   std::vector<std::unique_ptr<broker::Broker>> brokers;
@@ -283,55 +266,21 @@ RunResult run_engine(const EngineConfig& engine, std::uint64_t total_pubs,
   }
   sim.run();  // settle the subscription handshakes outside the measurement
 
-  // Publications: one self-rescheduling driver per topic, `per_topic` sends
-  // each, 0.8 ms apart with the topic index as phase — dense enough to keep
-  // a deep in-flight window, the regime a global-scale broker actually runs
-  // in. Each driver is hinted at its publisher's address, so on the sharded
-  // plane it lives on the shard owning that client and its self-reschedules
-  // stay shard-local.
+  // Publications: one source per topic, `per_topic` sends each, with the
+  // topic index as phase. Each source is hinted at its publisher's address,
+  // so on the sharded plane it lives on the shard owning that client and
+  // its self-reschedules stay shard-local.
   const std::uint64_t per_topic =
       std::max<std::uint64_t>(1, total_pubs / kTopics);
-  struct Driver {
-    net::Simulator* sim;
-    net::SimTransport* transport;
-    TopicId topic;
-    ClientId publisher;
-    RegionId entry;
-    std::uint64_t remaining;
-    std::uint64_t seq = 0;
-
-    void fire() {
-      wire::Message msg;
-      msg.type = wire::MessageType::kPublish;
-      msg.topic = topic;
-      msg.publisher = publisher;
-      msg.seq = seq++;
-      msg.published_at = sim->now();
-      msg.payload_bytes = kPayload;
-      // Routed intent travels on the message (the broker fans out what the
-      // publication asks for, not what its own config says).
-      msg.config_mode = wire::WireMode::kRouted;
-      transport->send(net::Address::client(publisher),
-                      net::Address::region(entry), msg);
-      if (--remaining > 0) {
-        sim->schedule_after(0.8, [this] { fire(); });
-      }
-    }
-  };
-  std::vector<std::unique_ptr<Driver>> drivers;
+  std::vector<std::unique_ptr<bench::PublicationSource>> sources;
   for (std::size_t t = 0; t < kTopics; ++t) {
-    auto driver = std::make_unique<Driver>();
-    driver->sim = &sim;
-    driver->transport = &transport;
-    driver->topic = TopicId{static_cast<TopicId::underlying_type>(t)};
-    driver->publisher = topic_publisher[t];
-    driver->entry = topic_entry[t];
-    driver->remaining = per_topic;
-    Driver* raw = driver.get();
+    sources.push_back(std::make_unique<bench::PublicationSource>(
+        &sim, &transport, TopicId{static_cast<TopicId::underlying_type>(t)},
+        topic_publisher[t], topic_entry[t], per_topic));
+    bench::PublicationSource* raw = sources.back().get();
     sim.schedule_at(sim.now() + static_cast<double>(t) * 0.01,
-                    net::Address::client(driver->publisher),
+                    net::Address::client(raw->publisher),
                     [raw] { raw->fire(); });
-    drivers.push_back(std::move(driver));
   }
 
   RunResult result;
@@ -368,8 +317,11 @@ RunResult run_engine(const EngineConfig& engine, std::uint64_t total_pubs,
   }
   result.client_deliveries =
       cohorts ? pool->total_delivery_weight() : deliveries->total();
-  result.inter_region_bytes = transport.ledger().inter_region_bytes;
-  result.internet_bytes = transport.ledger().internet_bytes;
+  const auto& ledger = transport.ledger();
+  std::copy(ledger.inter_region_bytes.begin(), ledger.inter_region_bytes.end(),
+            result.inter_region_bytes.begin());
+  std::copy(ledger.internet_bytes.begin(), ledger.internet_bytes.end(),
+            result.internet_bytes.begin());
   return result;
 }
 
@@ -409,41 +361,30 @@ int main(int argc, char** argv) {
       flags.get_int("clients", static_cast<long>(kDefaultClients));
   const long regions_flag =
       flags.get_int("regions", static_cast<long>(kDefaultRegions));
-  const bool cohorts = flags.get_bool("cohorts", false);
+  const bool cohorts = flags.get_on_off("cohorts", false);
   const std::string mode = flags.get("mode", "both");
   const std::string placement_name = flags.get("shard-placement", "topology");
   const std::string policy_name = flags.get("window-policy", "adaptive");
   const auto placement = net::parse_shard_placement(placement_name);
   if (!placement.has_value()) {
-    std::fprintf(stderr,
-                 "error: --shard-placement must be round-robin or topology, "
-                 "got '%s'\n",
-                 placement_name.c_str());
-    return 2;
+    flags.error("--shard-placement must be round-robin or topology, got '" +
+                placement_name + "'");
   }
-  const net::WindowPolicy policy = policy_name == "fixed"
-                                       ? net::WindowPolicy::kFixed
-                                       : net::WindowPolicy::kAdaptive;
-  if (policy_name != "fixed" && policy_name != "adaptive") {
-    std::fprintf(stderr,
-                 "error: --window-policy must be fixed or adaptive, got "
-                 "'%s'\n",
-                 policy_name.c_str());
-    return 2;
+  const auto policy_parsed = net::parse_window_policy(policy_name);
+  if (!policy_parsed.has_value()) {
+    flags.error("--window-policy must be fixed or adaptive, got '" +
+                policy_name + "'");
   }
   // The serving-set construction needs 6 distinct offsets; synthesize_world
-  // caps at 64.
-  if (!flags.errors().empty() || pubs_flag <= 0 || clients_flag <= 0 ||
-      regions_flag < 6 || regions_flag > 64) {
-    for (const auto& error : flags.errors()) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-    }
-    if (regions_flag < 6 || regions_flag > 64) {
-      std::fprintf(stderr, "error: --regions must be in 6..64\n");
-    }
+  // caps at kMaxRegions.
+  if (regions_flag < 6 || regions_flag > static_cast<long>(kMaxRegions)) {
+    flags.error("--regions must be in 6..64");
+  }
+  if (flags.print_errors() || pubs_flag <= 0 || clients_flag <= 0) {
     std::fprintf(stderr, "see --help\n");
     return 2;
   }
+  const net::WindowPolicy policy = *policy_parsed;
   const auto total_pubs = static_cast<std::uint64_t>(pubs_flag);
   const auto n_clients = static_cast<std::size_t>(clients_flag);
   const auto n_regions = static_cast<std::size_t>(regions_flag);
@@ -461,28 +402,23 @@ int main(int argc, char** argv) {
       const auto [end, error] =
           std::from_chars(digits.data(), digits_end, engine.shards);
       if (error != std::errc{} || end != digits_end) {
-        std::fprintf(stderr, "shards=K needs an integer K, got '%s'\n",
-                     mode.c_str() + 7);
-        return 2;
-      }
-      if (engine.shards < 2) {
-        std::fprintf(stderr, "shards=K needs K >= 2\n");
-        return 2;
-      }
-      if (engine.shards > n_regions) {
-        std::fprintf(stderr,
-                     "shards=K needs K <= regions (%zu): empty shards would "
-                     "still pay every barrier round\n",
-                     n_regions);
-        return 2;
+        flags.error("shards=K needs an integer K, got '" +
+                    std::string(digits) + "'");
+      } else if (engine.shards < 2) {
+        flags.error("shards=K needs K >= 2");
+      } else if (engine.shards > n_regions) {
+        flags.error("shards=K needs K <= regions (" +
+                    std::to_string(n_regions) +
+                    "): empty shards would still pay every barrier round");
       }
     } else if (mode != "fast") {
-      std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
-      return 2;
+      flags.error("unknown mode '" + mode + "'");
     }
+    if (flags.print_errors()) return 2;
     const RunResult r =
         run_engine(engine, total_pubs, n_clients, n_regions, cohorts);
-    std::printf("%s: %llu events in %.3f s = %.0f events/sec\n", mode.c_str(),
+    std::printf("%s (%s plane): %llu events in %.3f s = %.0f events/sec\n",
+                mode.c_str(), cohorts ? "cohort" : "per-client",
                 static_cast<unsigned long long>(r.events), r.seconds,
                 r.events_per_sec());
     return 0;
@@ -496,7 +432,7 @@ int main(int argc, char** argv) {
               n_regions, kTopics, hw_threads,
               cohorts ? "cohort" : "per-client",
               net::shard_placement_name(*placement).c_str(),
-              policy == net::WindowPolicy::kFixed ? "fixed" : "adaptive");
+              net::window_policy_name(policy).c_str());
 
   // The single-threaded fast row is the reference of both planes. The final
   // row re-runs K=8 with the PR 5 recipe (round-robin + fixed windows) as
@@ -516,12 +452,21 @@ int main(int argc, char** argv) {
                        net::WindowPolicy::kFixed});
   }
   const std::size_t baseline8_index = engines.size() - 1;
-  std::vector<RunResult> results;
+  // Each configuration runs in a child process of its own, so every row's
+  // peak_rss_bytes is that configuration's footprint alone.
+  std::vector<bench::ChildRun<RunResult>> results;
   for (const EngineConfig& engine : engines) {
-    results.push_back(
-        run_engine(engine, total_pubs, n_clients, n_regions, cohorts));
+    const auto run = bench::run_in_child([&] {
+      return run_engine(engine, total_pubs, n_clients, n_regions, cohorts);
+    });
+    if (!run.has_value()) {
+      std::fprintf(stderr, "%s engine at %u thread(s) failed\n",
+                   engine.label, engine.shards);
+      return 1;
+    }
+    results.push_back(*run);
   }
-  const RunResult& fast = results[0];
+  const RunResult& fast = results[0].result;
 
   bench::BenchReport report("dataplane");
   std::printf("%-8s %8s %12s %11s %7s %14s %10s %16s %8s\n", "engine",
@@ -531,7 +476,7 @@ int main(int argc, char** argv) {
   bool windows_missing = false;
   for (std::size_t i = 0; i < engines.size(); ++i) {
     const EngineConfig& engine = engines[i];
-    const RunResult& r = results[i];
+    const RunResult& r = results[i].result;
     // Observable identity is pairwise against the fast row; with every
     // configuration proven identical to it, this chains to every pair.
     const bool identical = counters_identical(r, fast);
@@ -542,25 +487,22 @@ int main(int argc, char** argv) {
                                : 0.0;
     const std::uint32_t threads = engine.shards;
     const bool sharded = engine.shards > 1;
-    const char* placement_label =
-        !sharded ? "-"
-                 : (engine.placement == net::ShardPlacement::kRoundRobin
-                        ? "round-robin"
-                        : "topology");
-    const char* policy_label =
-        !sharded ? "-"
-                 : (engine.policy == net::WindowPolicy::kFixed ? "fixed"
-                                                               : "adaptive");
+    const std::string placement_label =
+        sharded ? net::shard_placement_name(engine.placement) : "";
+    const std::string policy_label =
+        sharded ? net::window_policy_name(engine.policy) : "";
     std::printf("%-8s %8u %12s %11s %7llu %14.1f %10.3f %16.0f %7.2fx%s\n",
-                engine.label, threads, placement_label, policy_label,
+                engine.label, threads,
+                sharded ? placement_label.c_str() : "-",
+                sharded ? policy_label.c_str() : "-",
                 static_cast<unsigned long long>(r.windows.windows),
                 r.windows_per_sim_sec(), r.seconds, r.events_per_sec(),
                 vs_fast, identical ? "" : "  COUNTERS DIVERGED");
-    report.row()
+    report.row(results[i].peak_rss_bytes)
         .str("engine", engine.label)
         .uinteger("threads", threads)
-        .str("placement", sharded ? placement_label : "")
-        .str("window_policy", sharded ? policy_label : "")
+        .str("placement", placement_label)
+        .str("window_policy", policy_label)
         .uinteger("publications", actual_pubs)
         .uinteger("clients", n_clients)
         .boolean("cohorts", cohorts)
@@ -581,15 +523,15 @@ int main(int argc, char** argv) {
         .uinteger("barrier_spins", r.windows.barrier_spins)
         .uinteger("barrier_parks", r.windows.barrier_parks);
   }
-  const double shard8_speedup =
-      results[tuned8_index].events_per_sec() / fast.events_per_sec();
+  const RunResult& tuned8 = results[tuned8_index].result;
+  const RunResult& baseline8 = results[baseline8_index].result;
+  const double shard8_speedup = tuned8.events_per_sec() / fast.events_per_sec();
   // Window reduction: how many times fewer synchronization rounds the tuned
   // configuration pays per simulated second than the PR 5 recipe. Both
   // counts are deterministic, so this ratio is hardware-independent.
   const double window_reduction =
-      results[tuned8_index].windows_per_sim_sec() > 0.0
-          ? results[baseline8_index].windows_per_sim_sec() /
-                results[tuned8_index].windows_per_sim_sec()
+      tuned8.windows_per_sim_sec() > 0.0
+          ? baseline8.windows_per_sim_sec() / tuned8.windows_per_sim_sec()
           : 0.0;
   std::printf("8-thread sharded vs fast %.2fx, window reduction %.2fx, "
               "counters %s\n",

@@ -15,28 +15,70 @@
 // --benchmark_format=json instead; this header is for the report benches.)
 #pragma once
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <climits>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace multipub::bench {
 
-/// Peak resident set size of this process in bytes (VmHWM from
-/// /proc/self/status), 0 where the proc filesystem is unavailable. The
+/// Peak resident set size of this process in bytes (ru_maxrss). The
 /// high-water mark is process-wide and monotone, so a row records the peak
 /// up to its creation — a sweep's rows show where memory actually grew.
 inline unsigned long long peak_rss_bytes() {
-  std::FILE* status = std::fopen("/proc/self/status", "r");
-  if (status == nullptr) return 0;
-  char line[256];
-  unsigned long long kb = 0;
-  while (std::fgets(line, sizeof line, status) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %llu", &kb) == 1) break;
+  struct rusage usage {};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<unsigned long long>(usage.ru_maxrss) * 1024;
+}
+
+/// A result measured in a forked child, with that child's own peak RSS.
+template <class Result>
+struct ChildRun {
+  Result result;
+  unsigned long long peak_rss_bytes = 0;
+};
+
+/// Runs `work()` in a forked child, reads its (trivially copyable) result
+/// back over a pipe, and reports the child's own peak RSS (ru_maxrss from
+/// wait4): the footprint of that work alone, not the process-wide
+/// high-water mark of everything run before it. Call from a
+/// single-threaded parent. nullopt when the child failed.
+template <class Work>
+auto run_in_child(Work&& work) -> std::optional<ChildRun<decltype(work())>> {
+  using Result = decltype(work());
+  // One write of at most PIPE_BUF bytes is atomic: the parent reads it whole.
+  static_assert(std::is_trivially_copyable_v<Result> &&
+                sizeof(Result) <= PIPE_BUF);
+  int fds[2];
+  if (::pipe(fds) != 0) return std::nullopt;
+  std::fflush(nullptr);  // the child must not re-emit buffered output
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const Result result = work();
+    ::_exit(::write(fds[1], &result, sizeof result) == ssize_t{sizeof result}
+                ? 0
+                : 1);
   }
-  std::fclose(status);
-  return kb * 1024ULL;
+  ::close(fds[1]);
+  ChildRun<Result> run{};
+  const ssize_t received = ::read(fds[0], &run.result, sizeof run.result);
+  ::close(fds[0]);
+  int status = 0;
+  struct rusage usage {};
+  if (pid < 0 || ::wait4(pid, &status, 0, &usage) != pid || status != 0 ||
+      received != ssize_t{sizeof run.result}) {
+    return std::nullopt;
+  }
+  run.peak_rss_bytes = static_cast<unsigned long long>(usage.ru_maxrss) * 1024;
+  return run;
 }
 
 /// One output row; fields render in insertion order.
@@ -91,13 +133,17 @@ class BenchReport {
  public:
   explicit BenchReport(std::string name) : name_(std::move(name)) {}
 
-  /// Every row leads with peak_rss_bytes, captured at row creation, and the
-  /// host's hardware_concurrency, so all benches publish their memory
-  /// footprint and the machine they ran on without per-binary plumbing.
-  JsonRow& row() {
+  /// Every row leads with peak_rss_bytes and the host's
+  /// hardware_concurrency, so all benches publish their memory footprint
+  /// and the machine they ran on without per-binary plumbing. row() records
+  /// this process's peak at row creation; row(bytes) a peak measured
+  /// elsewhere, such as a run_in_child() child's.
+  JsonRow& row() { return row(peak_rss_bytes()); }
+
+  JsonRow& row(unsigned long long peak_rss) {
     rows_.emplace_back();
     rows_.back()
-        .uinteger("peak_rss_bytes", peak_rss_bytes())
+        .uinteger("peak_rss_bytes", peak_rss)
         .uinteger("hardware_concurrency", std::thread::hardware_concurrency());
     return rows_.back();
   }

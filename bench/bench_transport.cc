@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "flags.h"
 #include "net/address.h"
 #include "net/socket_transport.h"
 #include "wire/message.h"
@@ -227,41 +228,31 @@ bool identical_contract(const char* workload, const RunResult& on,
 }  // namespace
 
 int main(int argc, char** argv) {
+  tools::Flags flags(argc, argv);
+  flags.allow_only({"publish-msgs", "fanout-batches", "fanout", "payload",
+                    "transport-batching"});
   Params params;
-  std::string mode = "both";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--publish-msgs") {
-      params.publish_msgs = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--fanout-batches") {
-      params.fanout_batches = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--fanout") {
-      params.fanout = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--payload") {
-      params.payload = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--transport-batching") {
-      mode = value();
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 2;
-    }
+  const long publish_msgs = flags.get_int(
+      "publish-msgs", static_cast<long>(params.publish_msgs));
+  const long fanout_batches = flags.get_int(
+      "fanout-batches", static_cast<long>(params.fanout_batches));
+  const long fanout = flags.get_int("fanout", static_cast<long>(params.fanout));
+  const long payload =
+      flags.get_int("payload", static_cast<long>(params.payload));
+  // nullopt: both modes.
+  const std::optional<bool> batching_only =
+      flags.get_on_off_both("transport-batching");
+  if (fanout < 1 || fanout_batches < 1 || publish_msgs < 1 || payload < 0) {
+    flags.error("sizes must be > 0");
   }
-  if (mode != "on" && mode != "off" && mode != "both") {
-    std::fprintf(stderr, "--transport-batching must be on, off or both\n");
-    return 2;
-  }
-  if (params.fanout == 0 || params.fanout_batches == 0 ||
-      params.publish_msgs == 0) {
-    std::fprintf(stderr, "sizes must be > 0\n");
-    return 2;
-  }
+  if (flags.print_errors()) return 2;
+  params.publish_msgs = static_cast<std::uint64_t>(publish_msgs);
+  params.fanout_batches = static_cast<std::uint64_t>(fanout_batches);
+  params.fanout = static_cast<std::uint64_t>(fanout);
+  params.payload = static_cast<std::uint64_t>(payload);
+  const bool run_batched = batching_only.value_or(true);
+  const bool run_unbatched = !batching_only.value_or(false);
+  const bool both = run_batched && run_unbatched;
 
   bench::BenchReport report("transport");
   std::printf("bench_transport: loopback node pair, payload %llu B, "
@@ -275,7 +266,7 @@ int main(int argc, char** argv) {
     const char* workload = fanout ? "fanout" : "publish";
     RunResult on;
     RunResult off;
-    if (mode != "off") {
+    if (run_batched) {
       on = run_workload(/*batching=*/true, fanout, params);
       print_row(workload, true, on);
       add_row(report, workload, true, on);
@@ -287,12 +278,12 @@ int main(int argc, char** argv) {
         failed = true;
       }
     }
-    if (mode != "on") {
+    if (run_unbatched) {
       off = run_workload(/*batching=*/false, fanout, params);
       print_row(workload, false, off);
       add_row(report, workload, false, off);
     }
-    if (mode == "both") {
+    if (both) {
       if (!identical_contract(workload, on, off)) failed = true;
       const double speedup =
           off.msgs_per_sec() <= 0.0
@@ -305,7 +296,7 @@ int main(int argc, char** argv) {
   }
 
   const bool full_size =
-      params.fanout_batches * params.fanout >= 100'000 && mode == "both";
+      params.fanout_batches * params.fanout >= 100'000 && both;
   if (full_size && fanout_speedup < 3.0) {
     std::fprintf(stderr,
                  "FAIL fanout: batched speedup %.2fx below the 3x gate at "

@@ -317,11 +317,6 @@ ReplayRing& Broker::ring(TopicId topic) {
   return rings_.try_emplace(topic, replay_capacity_).first->second;
 }
 
-std::uint64_t Broker::unique_accepted(TopicId topic) const {
-  const auto it = rings_.find(topic);
-  return it == rings_.end() ? 0 : it->second.head();
-}
-
 std::uint64_t Broker::replica_applied_seq(RegionId owner) const {
   const auto it = replicas_.find(owner.value());
   return it == replicas_.end() ? 0 : it->second.applied_seq;

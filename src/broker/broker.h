@@ -165,11 +165,6 @@ class Broker {
   /// current state_seq to the standby so a diverged replica resyncs.
   void sync_with_peers();
 
-  /// Ring head of `topic` — the number of distinct publications this broker
-  /// has accepted for it (ring numbering restarts only at crash(), after
-  /// which peer replay rebuilds the count).
-  [[nodiscard]] std::uint64_t unique_accepted(TopicId topic) const;
-
   /// Publications this broker has accepted, per topic and publisher. The
   /// chaos harness walks a crashing broker's set to find publications no
   /// surviving broker holds (the zero-loss oracle's crash-loss exemption).

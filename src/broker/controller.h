@@ -142,12 +142,6 @@ class Controller {
   void set_region_available(RegionId region, bool available);
   [[nodiscard]] bool region_available(RegionId region) const;
 
-  /// The regions currently considered down (manual marks + failure
-  /// detection) — the set the next round's candidate masking will use.
-  [[nodiscard]] const geo::RegionSet& unavailable_regions() const {
-    return unavailable_;
-  }
-
   /// Chaos/testing hook: when disabled, reconfigure rounds STOP masking
   /// unavailable regions out of the candidate sets (availability is still
   /// tracked for orphan bookkeeping). This deliberately re-introduces the
@@ -155,9 +149,6 @@ class Controller {
   /// the chaos harness's dead-region oracles must catch it. On by default.
   void set_outage_exclusion_enabled(bool enabled) {
     outage_exclusion_enabled_ = enabled;
-  }
-  [[nodiscard]] bool outage_exclusion_enabled() const {
-    return outage_exclusion_enabled_;
   }
 
   /// Enables the paper's §IV-D pass: after each topic's optimization, scan

@@ -104,9 +104,6 @@ class RegionManager {
   /// Cap on remembered publishers per topic (an arbitrary entry is evicted
   /// at the cap). Bounds known_publishers_ memory under publisher churn.
   void set_known_publisher_cap(std::size_t cap);
-  [[nodiscard]] std::size_t known_publisher_cap() const {
-    return known_publisher_cap_;
-  }
   [[nodiscard]] std::size_t known_publisher_count(TopicId topic) const;
   [[nodiscard]] std::size_t known_publisher_topic_count() const {
     return known_publishers_.size();

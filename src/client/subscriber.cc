@@ -111,7 +111,6 @@ void Subscriber::request_replay(TopicId topic, std::uint64_t from) {
   req.delivery_seq = from;
   bus_->send(net::Address::client(id_), net::Address::region(it->second),
              req);
-  ++replay_requests_;
 }
 
 void Subscriber::reconnect(RegionId region) {

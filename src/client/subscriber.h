@@ -97,11 +97,6 @@ class Subscriber {
     return recorded_duplicates_;
   }
 
-  /// kReplayRequests sent (gap detections + sync passes).
-  [[nodiscard]] std::uint64_t replay_request_count() const {
-    return replay_requests_;
-  }
-
   /// Distinct publications received on `topic` (dedup'd across replays and
   /// handover overlap) — the zero-loss oracle compares this against the
   /// broker-accepted count.
@@ -156,7 +151,6 @@ class Subscriber {
   /// lost replay batch is simply re-requested by a later sync.
   std::unordered_map<TopicId, SeqTracker> cursors_;
   std::uint64_t recorded_duplicates_ = 0;
-  std::uint64_t replay_requests_ = 0;
 };
 
 }  // namespace multipub::client

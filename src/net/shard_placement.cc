@@ -17,6 +17,16 @@ std::string shard_placement_name(ShardPlacement placement) {
   return placement == ShardPlacement::kRoundRobin ? "round-robin" : "topology";
 }
 
+std::optional<WindowPolicy> parse_window_policy(std::string_view name) {
+  if (name == "fixed") return WindowPolicy::kFixed;
+  if (name == "adaptive") return WindowPolicy::kAdaptive;
+  return std::nullopt;
+}
+
+std::string window_policy_name(WindowPolicy policy) {
+  return policy == WindowPolicy::kFixed ? "fixed" : "adaptive";
+}
+
 namespace {
 
 struct Edge {

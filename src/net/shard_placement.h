@@ -1,4 +1,5 @@
-// Region-to-shard placement strategies for the sharded data plane.
+// Region-to-shard placement strategies and window policies for the
+// sharded data plane.
 //
 // The conservative window of the parallel simulator (DESIGN.md §11) is as
 // wide as the minimum CROSS-shard link latency, so where regions land
@@ -30,11 +31,23 @@ enum class ShardPlacement : std::uint8_t {
   kTopology,    ///< single-linkage clustering over the backbone matrix
 };
 
+/// How the sharded plane sizes its conservative windows. Like placement,
+/// the policy never changes observables.
+enum class WindowPolicy : std::uint8_t {
+  kFixed,     ///< every window is `lookahead` wide (the reference pacing)
+  kAdaptive,  ///< per-shard ends from the busy-shard horizon (DESIGN.md §14)
+};
+
 /// Flag spelling <-> enum ("round-robin" | "topology"); nullopt on anything
 /// else.
 [[nodiscard]] std::optional<ShardPlacement> parse_shard_placement(
     std::string_view name);
 [[nodiscard]] std::string shard_placement_name(ShardPlacement placement);
+
+/// Flag spelling <-> enum ("fixed" | "adaptive"); nullopt on anything else.
+[[nodiscard]] std::optional<WindowPolicy> parse_window_policy(
+    std::string_view name);
+[[nodiscard]] std::string window_policy_name(WindowPolicy policy);
 
 /// Region -> shard assignment for `shards` shards under `placement`.
 ///

@@ -60,6 +60,7 @@
 #include "common/types.h"
 #include "net/address.h"
 #include "net/bus.h"
+#include "net/shard_placement.h"
 #include "net/slot_pool.h"
 #include "wire/message.h"
 
@@ -106,12 +107,6 @@ struct ShardMap {
     MP_EXPECTS(address.id >= 0 && index < table.size());
     return table[index];
   }
-};
-
-/// How the sharded plane sizes its conservative windows.
-enum class WindowPolicy : std::uint8_t {
-  kFixed,     ///< every window is `lookahead` wide (the PR 5 behaviour)
-  kAdaptive,  ///< per-shard ends from the busy-shard horizon (DESIGN.md §14)
 };
 
 /// Telemetry of the sharded plane's window machinery. Hardware-independent

@@ -1,6 +1,6 @@
 #include "node/broker_node.h"
 
-#include <cstdio>
+#include <fstream>
 
 #include "common/assert.h"
 #include "common/logging.h"
@@ -296,12 +296,9 @@ void BrokerNode::advance() {
 
 void BrokerNode::write_metrics() const {
   if (options_.metrics_path.empty()) return;
-  std::FILE* out = std::fopen(options_.metrics_path.c_str(), "w");
-  if (out == nullptr) {
-    MP_LOG_WARN("node") << "cannot write metrics to "
-                        << options_.metrics_path;
-    return;
-  }
+  // Hot-path telemetry (net.transport.*) first: observational only, never
+  // part of the convergence contract.
+  MetricsRegistry metrics = net::collect_transport_metrics(transport_);
   std::uint64_t publications = 0;
   for (const auto& publisher : publishers_) {
     publications += publisher->published_count();
@@ -312,31 +309,25 @@ void BrokerNode::write_metrics() const {
     deliveries += subscriber->deliveries().size();
     duplicates += subscriber->duplicate_count();
   }
+  metrics.set("clients.publications", static_cast<double>(publications));
+  metrics.set("clients.deliveries", static_cast<double>(deliveries));
+  metrics.set("clients.duplicates", static_cast<double>(duplicates));
   const broker::Broker& broker = manager_->broker();
-  std::fprintf(out, "broker.delivered %llu\n",
-               static_cast<unsigned long long>(broker.delivered_count()));
-  std::fprintf(out, "broker.forwarded %llu\n",
-               static_cast<unsigned long long>(broker.forwarded_count()));
-  std::fprintf(out, "clients.deliveries %llu\n",
-               static_cast<unsigned long long>(deliveries));
-  std::fprintf(out, "clients.duplicates %llu\n",
-               static_cast<unsigned long long>(duplicates));
-  std::fprintf(out, "clients.publications %llu\n",
-               static_cast<unsigned long long>(publications));
-  std::fprintf(out, "node.heartbeats_sent %llu\n",
-               static_cast<unsigned long long>(heartbeat_seq_));
-  std::fprintf(out, "transport.inter_region_bytes %llu\n",
-               static_cast<unsigned long long>(
-                   transport_.inter_region_bytes(self_)));
-  std::fprintf(out, "transport.internet_bytes %llu\n",
-               static_cast<unsigned long long>(
-                   transport_.internet_bytes(self_)));
-  // Hot-path telemetry (net.transport.*): observational only, never part
-  // of the convergence contract.
-  const std::string hot_path =
-      net::collect_transport_metrics(transport_).render();
-  std::fwrite(hot_path.data(), 1, hot_path.size(), out);
-  std::fclose(out);
+  metrics.set("broker.delivered",
+              static_cast<double>(broker.delivered_count()));
+  metrics.set("broker.forwarded",
+              static_cast<double>(broker.forwarded_count()));
+  metrics.set("node.heartbeats_sent", static_cast<double>(heartbeat_seq_));
+  metrics.set("transport.inter_region_bytes",
+              static_cast<double>(transport_.inter_region_bytes(self_)));
+  metrics.set("transport.internet_bytes",
+              static_cast<double>(transport_.internet_bytes(self_)));
+  std::ofstream out(options_.metrics_path);
+  out << metrics.render();
+  if (!out) {
+    MP_LOG_WARN("node") << "cannot write metrics to "
+                        << options_.metrics_path;
+  }
 }
 
 bool BrokerNode::run(double deadline_ms) {

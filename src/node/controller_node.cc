@@ -1,7 +1,9 @@
 #include "node/controller_node.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <fstream>
+#include <string>
+#include <string_view>
 
 #include "common/assert.h"
 #include "common/logging.h"
@@ -287,30 +289,20 @@ bool ControllerNode::run(double deadline_ms) {
 
 void ControllerNode::write_metrics() const {
   if (options_.metrics_path.empty()) return;
-  std::FILE* out = std::fopen(options_.metrics_path.c_str(), "w");
-  if (out == nullptr) {
-    MP_LOG_WARN("node") << "cannot write metrics to "
-                        << options_.metrics_path;
-    return;
-  }
-  std::fprintf(out, "node.brokers %llu\n",
-               static_cast<unsigned long long>(region_count()));
-  std::fprintf(out, "controller.decisions %llu\n",
-               static_cast<unsigned long long>(decisions_));
-  std::fprintf(out, "controller.changed %llu\n",
-               static_cast<unsigned long long>(changed_));
-  std::fprintf(out, "controller.rejected_hellos %llu\n",
-               static_cast<unsigned long long>(rejected_hellos_));
+  // Hot-path telemetry (net.transport.*) first: observational only, never
+  // part of the convergence contract.
+  MetricsRegistry metrics = net::collect_transport_metrics(transport_);
+  metrics.set("node.brokers", static_cast<double>(region_count()));
+  metrics.set("controller.decisions", static_cast<double>(decisions_));
+  metrics.set("controller.changed", static_cast<double>(changed_));
+  metrics.set("controller.rejected_hellos",
+              static_cast<double>(rejected_hellos_));
   for (std::size_t r = 0; r < heartbeats_.size(); ++r) {
-    std::fprintf(out, "node.heartbeats.%llu %llu\n",
-                 static_cast<unsigned long long>(r),
-                 static_cast<unsigned long long>(heartbeats_[r]));
+    metrics.set("node.heartbeats." + std::to_string(r),
+                static_cast<double>(heartbeats_[r]));
   }
-  // Hot-path telemetry (net.transport.*): observational only, never part
-  // of the convergence contract.
-  const std::string hot_path =
-      net::collect_transport_metrics(transport_).render();
-  std::fwrite(hot_path.data(), 1, hot_path.size(), out);
+  std::ofstream out(options_.metrics_path);
+  out << metrics.render();
   // The deployed assignment matrix, one commented line per topic, exactly
   // as the digital twin renders it.
   const std::string matrix = controller_->render_assignment_matrix();
@@ -318,11 +310,14 @@ void ControllerNode::write_metrics() const {
   while (begin < matrix.size()) {
     std::size_t end = matrix.find('\n', begin);
     if (end == std::string::npos) end = matrix.size();
-    std::fprintf(out, "# assignment %.*s\n", static_cast<int>(end - begin),
-                 matrix.data() + begin);
+    out << "# assignment "
+        << std::string_view(matrix).substr(begin, end - begin) << "\n";
     begin = end + 1;
   }
-  std::fclose(out);
+  if (!out) {
+    MP_LOG_WARN("node") << "cannot write metrics to "
+                        << options_.metrics_path;
+  }
 }
 
 }  // namespace multipub::node

@@ -7,7 +7,6 @@
 
 #include "common/assert.h"
 #include "net/fault_plan.h"
-#include "sim/live_runner.h"
 
 namespace multipub::sim {
 namespace {
@@ -319,18 +318,12 @@ ChaosRunner::Execution ChaosRunner::execute(const FaultSchedule& schedule,
 
   // The plan outlives the system (the transport borrows it).
   net::FaultPlan plan(seed ^ 0x9e3779b97f4a7c15ULL);
-  LiveSystem live(*scenario_);
-  live.set_incremental(options_.incremental);
-  live.set_cohorts(options_.cohorts);  // before set_shards: flocks get shards
-  live.set_shard_placement(options_.placement);
-  live.set_window_policy(options_.window_policy);
-  live.set_shards(options_.shards);
+  LiveSystem live(*scenario_, options_.live);
   live.transport().set_fault_plan(&plan);
   if (options_.break_outage_exclusion) {
     live.controller().set_outage_exclusion_enabled(false);
   }
-  if (options_.reliable) {
-    live.set_reliable(true);
+  if (options_.live.reliable) {
     for (const auto& region : catalog.all()) {
       auto& broker = live.region_manager(region.id).broker();
       if (options_.break_replay) broker.set_replay_enabled(false);
@@ -435,7 +428,7 @@ ChaosRunner::Execution ChaosRunner::execute(const FaultSchedule& schedule,
     const bool fault_active = any_fault_covers(schedule, round);
     clean_streak = fault_active ? 0 : clean_streak + 1;
 
-    if (options_.reliable && !fault_active) {
+    if (options_.live.reliable && !fault_active) {
       // The control round's config churn and any just-healed outage both
       // postdate run_interval's own sync pass; run another fault-free one so
       // the reliable books below see converged rings and replicas.
@@ -473,7 +466,7 @@ ChaosRunner::Execution ChaosRunner::execute(const FaultSchedule& schedule,
     obs.have_deployed = true;
     obs.deployed = current;
 
-    if (options_.reliable) {
+    if (options_.live.reliable) {
       obs.reliable = true;
       if (const auto* pool = live.cohort_pool()) {
         obs.recorded_duplicates = pool->recorded_duplicate_weight();

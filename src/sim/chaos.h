@@ -5,9 +5,9 @@
 // latency inflation and probabilistic message loss through the transport's
 // FaultPlan. Everything — fault placement, coin flips, traffic phases — is
 // derived from one seed, so a run is bit-reproducible: same seed, same
-// schedule, same oracle report. ChaosOptions select the control pipeline,
-// the shard count, placement and window policy, and the subscriber plane
-// of the one simulated data path.
+// schedule, same oracle report. ChaosOptions carry the LiveOptions of the
+// system under test: control pipeline, shard count, placement and window
+// policy, subscriber plane and reliability layer.
 //
 // After every round an invariant oracle suite checks system-wide
 // properties (cost-ledger conservation, dead-region silence and exclusion,
@@ -24,9 +24,8 @@
 #include "common/rng.h"
 #include "core/config.h"
 #include "geo/region_set.h"
-#include "net/shard_placement.h"
-#include "net/simulator.h"
 #include "sim/fault_schedule.h"
+#include "sim/live_runner.h"
 #include "sim/scenario.h"
 
 namespace multipub::sim {
@@ -41,31 +40,13 @@ struct ChaosOptions {
   /// k: consecutive fault-free rounds before the convergence and
   /// conformance oracles arm (clients need time to migrate back).
   int convergence_rounds = 2;
-  bool incremental = true;      ///< control-plane pipeline under test
-  /// Data-plane shard (worker-thread) count under test. Observables — and
-  /// therefore the whole report — must be identical for every value; >1
-  /// requires shards <= regions.
-  std::uint32_t shards = 1;
-  /// Region-to-shard placement strategy for shards > 1 (DESIGN.md §14).
-  /// Neither placement nor window policy may change the report by a byte.
-  net::ShardPlacement placement = net::ShardPlacement::kTopology;
-  /// Window sizing policy for the sharded plane (DESIGN.md §14).
-  net::WindowPolicy window_policy = net::WindowPolicy::kAdaptive;
-  /// Runs the subscriber side on the cohort-compressed plane (DESIGN.md
-  /// §12). With schedules free of probabilistic drop rules the report is
-  /// byte-identical to the per-client plane; drop rules are replayed per
-  /// member for deliveries but a partially dropped kConfigUpdate re-homes
-  /// the whole flock, so drop schedules may diverge in reconnect counts
-  /// (never in oracle soundness).
-  bool cohorts = false;
-  /// Arms the reliability layer (DESIGN.md §15): sequenced replay,
-  /// reconnect-and-replay on outage healing, Clone-pattern broker state
-  /// replication — and with it the three reliable oracles
-  /// (zero-message-loss, no-duplicate, bounded-replication-lag). Outage
-  /// transitions additionally crash/restore brokers through
-  /// LiveSystem::set_region_down. Off by default: the report stays
-  /// byte-identical to the pre-reliable harness.
-  bool reliable = false;
+  /// The live system under test. The report is byte-identical for every
+  /// shard count, placement and window policy, and across subscriber
+  /// planes for schedules free of drop rules (a partially dropped
+  /// kConfigUpdate re-homes a whole flock). live.reliable arms the
+  /// zero-message-loss, no-duplicate and bounded-replication-lag oracles,
+  /// and outages then crash/restore brokers.
+  LiveOptions live;
   /// Negative-path demo (requires reliable): brokers refuse to serve
   /// kReplayRequest, so any dropped delivery stays lost and the
   /// zero-message-loss oracle must catch it with a minimal schedule.
@@ -139,7 +120,7 @@ struct RoundObservation {
   Millis measured_percentile = 0.0;
   Millis max_t = kUnreachable;
 
-  // ---- Reliable-delivery books (armed only under ChaosOptions::reliable).
+  // ---- Reliable-delivery books (armed only under live.reliable).
 
   /// Arms the no-duplicate oracle (checked every round).
   bool reliable = false;

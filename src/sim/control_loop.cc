@@ -29,14 +29,6 @@ void ControlLoop::fire(std::size_t remaining) {
   }
 }
 
-std::size_t ControlLoop::total_evaluated() const {
-  std::size_t n = 0;
-  for (const auto& record : history_) {
-    n += record.stats.evaluated;
-  }
-  return n;
-}
-
 std::size_t ControlLoop::rounds_with_changes() const {
   std::size_t n = 0;
   for (const auto& record : history_) {

@@ -43,11 +43,6 @@ class ControlLoop {
   /// Number of rounds whose decisions changed at least one topic.
   [[nodiscard]] std::size_t rounds_with_changes() const;
 
-  /// Total optimizer invocations across all executed rounds (with the
-  /// incremental pipeline this is proportional to churn, not to rounds x
-  /// topics).
-  [[nodiscard]] std::size_t total_evaluated() const;
-
  private:
   void fire(std::size_t remaining);
 

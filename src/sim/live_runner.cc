@@ -9,7 +9,12 @@
 
 namespace multipub::sim {
 
-LiveSystem::LiveSystem(const Scenario& scenario) : scenario_(&scenario) {
+LiveSystem::LiveSystem(const Scenario& scenario, const LiveOptions& options)
+    : scenario_(&scenario), options_(options) {
+  MP_EXPECTS(options.shards >= 1);
+  MP_EXPECTS(options.row_bucket_ms >= 0.0);
+  MP_EXPECTS((options.cohorts || options.row_bucket_ms == 0.0) &&
+             "row_bucket_ms only applies to the cohort plane");
   transport_ = std::make_unique<net::SimTransport>(
       sim_, scenario.catalog, scenario.backbone,
       scenario.population.latencies);
@@ -30,12 +35,26 @@ LiveSystem::LiveSystem(const Scenario& scenario) : scenario_(&scenario) {
     publishers_.push_back(std::make_unique<client::Publisher>(
         pub.client, sim_, *transport_, scenario.population.latencies));
   }
-  subscribers_.reserve(scenario.topic.subscribers.size());
-  for (const auto& sub : scenario.topic.subscribers) {
-    subscribers_.push_back(std::make_unique<client::Subscriber>(
-        sub.client, sim_, *transport_, scenario.population.latencies));
-  }
   last_interval_counts_.assign(publishers_.size(), 0);
+
+  if (options.cohorts) {
+    build_cohort_pool();
+  } else {
+    subscribers_.reserve(scenario.topic.subscribers.size());
+    for (const auto& sub : scenario.topic.subscribers) {
+      subscribers_.push_back(std::make_unique<client::Subscriber>(
+          sub.client, sim_, *transport_, scenario.population.latencies));
+    }
+  }
+  // The shard map places the flocks, so the pool must exist; arming the
+  // reliability layer streams every broker's first state snapshot to its
+  // standby, and sharding needs an empty event queue, so it comes last.
+  if (options.shards > 1) {
+    base_lookaheads_ =
+        shard_data_plane(sim_, *transport_, scenario.backbone,
+                         scenario.population.home_region, pool_.get(), options);
+  }
+  if (options.reliable) arm_reliable();
 }
 
 broker::RegionManager& LiveSystem::region_manager(RegionId region) {
@@ -43,10 +62,7 @@ broker::RegionManager& LiveSystem::region_manager(RegionId region) {
   return *managers_[region.index()];
 }
 
-void LiveSystem::set_reliable(bool on) {
-  MP_EXPECTS(on || !reliable_);  // arming is one-way (like set_cohorts)
-  if (!on || reliable_) return;
-  reliable_ = true;
+void LiveSystem::arm_reliable() {
   transport_->set_reliable_control(true);
   for (auto& manager : managers_) manager->broker().set_reliable(true);
   if (pool_ != nullptr) {
@@ -106,13 +122,13 @@ void LiveSystem::set_region_down(RegionId region, bool down) {
   if (down == transport_->region_down(region)) return;
   if (down) {
     // Record what dies with the broker BEFORE the crash wipes it.
-    if (reliable_) record_crash_losses(region);
+    if (options_.reliable) record_crash_losses(region);
     transport_->set_region_down(region, true);
-    if (reliable_) region_manager(region).broker().crash();
+    if (options_.reliable) region_manager(region).broker().crash();
     return;
   }
   transport_->set_region_down(region, false);
-  if (!reliable_) return;
+  if (!options_.reliable) return;
   // Recovery: the standby host streams the replica back (a no-op on every
   // other manager), and the region's subscribers re-subscribe so the
   // rebuilt table is authoritative even if the replica was stale. The
@@ -128,7 +144,7 @@ void LiveSystem::set_region_down(RegionId region, bool down) {
 }
 
 void LiveSystem::sync_reliable() {
-  if (!reliable_) return;
+  if (!options_.reliable) return;
   // Broker half first: peer rings converge (and standbys resync) before the
   // clients ask for the repaired suffixes.
   for (auto& manager : managers_) manager->broker().sync_with_peers();
@@ -141,63 +157,46 @@ void LiveSystem::sync_reliable() {
   drain();
 }
 
-void LiveSystem::set_shard_placement(net::ShardPlacement placement) {
-  MP_EXPECTS(shards_ == 1 && "call set_shard_placement before set_shards");
-  placement_ = placement;
-}
-
-void LiveSystem::set_window_policy(net::WindowPolicy policy) {
-  MP_EXPECTS(shards_ == 1 && "call set_window_policy before set_shards");
-  window_policy_ = policy;
-}
-
-void LiveSystem::set_shards(std::uint32_t shards) {
-  MP_EXPECTS(shards >= 1);
-  shards_ = shards;
-  if (shards == 1) {
-    if (sim_.sharded()) sim_.configure_shards(net::ShardMap{}, 0.0);
-    transport_->set_shards(1);
-    base_lookahead_ = kUnreachable;
-    base_lookaheads_.clear();
-    return;
-  }
+ShardLookaheads shard_data_plane(net::Simulator& sim,
+                                 net::SimTransport& transport,
+                                 const geo::InterRegionLatency& backbone,
+                                 const std::vector<RegionId>& home_region,
+                                 client::CohortPool* pool,
+                                 const LiveOptions& options) {
   net::ShardMap map;
-  map.shards = shards;
+  map.shards = options.shards;
   map.region_shard =
-      net::partition_regions(placement_, scenario_->backbone, shards);
+      net::partition_regions(options.placement, backbone, options.shards);
   // Clients are co-sharded with their home region: the dominant client
   // traffic (attach, publish-in, deliver-out) stays intra-shard, and the
   // home link — typically the shortest a client has — never constrains the
   // window width.
-  map.client_shard.resize(scenario_->population.size());
-  for (std::size_t c = 0; c < map.client_shard.size(); ++c) {
-    map.client_shard[c] = map.region_shard[scenario_->population
-                                               .home_region[c]
-                                               .index()];
+  for (const RegionId home : home_region) {
+    map.client_shard.push_back(map.region_shard[home.index()]);
   }
-  if (pool_ != nullptr) {
+  if (pool != nullptr) {
     // A flock's events run on its home region's shard — the same placement
     // its members would have had — and the flock universe closes here:
     // shard assignments are static.
-    pool_->freeze();
-    map.cohort_shard.resize(pool_->flock_count());
-    for (std::size_t f = 0; f < map.cohort_shard.size(); ++f) {
-      map.cohort_shard[f] =
-          map.region_shard[pool_->flock_home(static_cast<std::int32_t>(f))
-                               .index()];
+    pool->freeze();
+    for (std::size_t f = 0; f < pool->flock_count(); ++f) {
+      map.cohort_shard.push_back(
+          map.region_shard[pool->flock_home(static_cast<std::int32_t>(f))
+                               .index()]);
     }
   }
-  base_lookahead_ = transport_->min_cross_shard_latency(map);
-  MP_EXPECTS(base_lookahead_ > 0.0 && base_lookahead_ < kUnreachable);
-  base_lookaheads_ = transport_->cross_shard_lookaheads(map);
-  transport_->set_shards(shards);
-  sim_.configure_shards(std::move(map), base_lookahead_);
-  sim_.set_window_policy(window_policy_);
-  sim_.set_lookahead_matrix(base_lookaheads_);
+  ShardLookaheads lookaheads{transport.min_cross_shard_latency(map),
+                             transport.cross_shard_lookaheads(map)};
+  MP_EXPECTS(lookaheads.min > 0.0 && lookaheads.min < kUnreachable);
+  transport.set_shards(options.shards);
+  sim.configure_shards(std::move(map), lookaheads.min);
+  sim.set_window_policy(options.window_policy);
+  sim.set_lookahead_matrix(lookaheads.matrix);
+  return lookaheads;
 }
 
 void LiveSystem::drain() {
-  if (shards_ > 1) {
+  if (options_.shards > 1) {
     // The window width is the min cross-shard latency, shrunk by whatever
     // the current fault rules could shrink a latency by. Jitter only
     // stretches delays (factor >= 1, half-normal addend >= 0), so it needs
@@ -206,12 +205,12 @@ void LiveSystem::drain() {
     if (const net::FaultPlan* plan = transport_->fault_plan()) {
       scale = plan->lookahead_scale();
     }
-    sim_.set_lookahead(base_lookahead_ * scale);
-    if (window_policy_ == net::WindowPolicy::kAdaptive) {
+    sim_.set_lookahead(base_lookaheads_.min * scale);
+    if (options_.window_policy == net::WindowPolicy::kAdaptive) {
       // The matrix shrinks by the same uniform factor (a delay rule can
       // shorten any link's effective latency by at most that factor);
       // infinities stay infinite under a positive scale.
-      std::vector<Millis> scaled = base_lookaheads_;
+      std::vector<Millis> scaled = base_lookaheads_.matrix;
       if (scale != 1.0) {
         for (Millis& entry : scaled) entry *= scale;
       }
@@ -239,13 +238,7 @@ void LiveSystem::deploy(const core::TopicConfig& config) {
   drain();  // let the kSubscribe handshakes land
 }
 
-void LiveSystem::set_cohorts(bool on, Millis row_bucket_ms) {
-  if (!on) {
-    MP_EXPECTS(pool_ == nullptr && "disabling cohorts is not supported");
-    return;
-  }
-  if (pool_ != nullptr) return;
-  MP_EXPECTS(row_bucket_ms >= 0.0);
+void LiveSystem::build_cohort_pool() {
   const std::size_t n_clients = scenario_->population.size();
   const std::size_t n_regions = scenario_->catalog.size();
   arena_ = std::make_unique<Arena>();
@@ -254,7 +247,7 @@ void LiveSystem::set_cohorts(bool on, Millis row_bucket_ms) {
   // merge, which is what keeps the cohort plane bit-identical to the
   // per-client one. A positive bucket trades that for more folding.
   registry_ = std::make_unique<client::ClientRegistry>(
-      n_clients, n_regions, row_bucket_ms, *arena_);
+      n_clients, n_regions, options_.row_bucket_ms, *arena_);
 
   const TopicId topic = scenario_->topic.topic;
   const std::array<TopicId, 1> topics{topic};
@@ -285,12 +278,6 @@ void LiveSystem::set_cohorts(bool on, Millis row_bucket_ms) {
   for (const auto& sub : scenario_->topic.subscribers) {
     pool_->enroll(sub.client);
   }
-  // The per-client subscriber endpoints leave the wire; the pool owns their
-  // traffic from here on.
-  for (const auto& subscriber : subscribers_) {
-    transport_->unregister_handler(net::Address::client(subscriber->id()));
-  }
-  subscribers_.clear();
   transport_->set_cohort_directory(pool_.get());
 }
 
@@ -388,7 +375,7 @@ LiveRunResult LiveSystem::run_interval(double seconds, Bytes payload_bytes,
 std::vector<broker::Controller::Decision> LiveSystem::reconfigure_now(
     const core::OptimizerOptions& options) {
   for (auto& manager : managers_) {
-    if (incremental_) {
+    if (options_.incremental) {
       const broker::ReportBatch batch = manager->collect_reports();
       controller_->ingest(manager->region(), batch.reports,
                           batch.full_snapshot);
@@ -399,8 +386,9 @@ std::vector<broker::Controller::Decision> LiveSystem::reconfigure_now(
     controller_->observe_latencies(manager->region(),
                                    manager->collect_latency_reports());
   }
-  auto decisions = incremental_ ? controller_->reconfigure(options)
-                                : controller_->reconfigure_full(options);
+  auto decisions = options_.incremental
+                       ? controller_->reconfigure(options)
+                       : controller_->reconfigure_full(options);
   for (const auto& decision : decisions) {
     // Orphans (clients whose region died) are notified through an alive
     // region manager: their own manager cannot reach them. Pick the first

@@ -8,6 +8,15 @@
 // measurements coincide with the analytic model (Eq. 1-4), golden digests
 // pin every observable of its data plane round by round (DESIGN.md §9),
 // and the examples use it to demonstrate transparent reconfiguration.
+//
+// A run is configured once, by the LiveOptions the constructor takes: the
+// control pipeline, the per-client or cohort subscriber plane, the
+// reliability layer, and the shard count, placement and window policy.
+// The constructor builds them in the one valid order: publishers, then
+// Subscribers or the cohort pool, then the shard map (which places the
+// flocks), then the reliable wiring (whose first state snapshots are
+// traffic, which sharding must not find queued). Nothing reconfigures the
+// system afterwards.
 #pragma once
 
 #include <map>
@@ -42,12 +51,72 @@ struct LiveRunResult {
   std::uint64_t deliveries = 0;
 };
 
+/// How one live run is configured; LiveSystem's constructor builds
+/// everything from it once.
+struct LiveOptions {
+  /// Control plane. On (default): region managers send delta reports and
+  /// the controller re-optimizes dirty topics only. Off: full snapshots +
+  /// Controller::reconfigure_full every round (the differential reference).
+  bool incremental = true;
+  /// Data-plane worker threads (DESIGN.md §11); 1 is the single-threaded
+  /// plane, K > 1 runs conservative windows (see shard_data_plane) and
+  /// needs K <= regions. Observables are bit-identical for every shard
+  /// count, placement and window policy.
+  std::uint32_t shards = 1;
+  /// Region-to-shard placement for K > 1 (DESIGN.md §14): kTopology
+  /// clusters nearby regions, widening every window; kRoundRobin is the
+  /// reference recipe.
+  net::ShardPlacement placement = net::ShardPlacement::kTopology;
+  /// Window sizing for K > 1 (DESIGN.md §14): kAdaptive widens windows past
+  /// the fixed stride when the busy-shard horizon allows; kFixed is the
+  /// reference pacing.
+  net::WindowPolicy window_policy = net::WindowPolicy::kAdaptive;
+  /// Cohort-compressed subscriber plane (DESIGN.md §12): identical
+  /// subscribers fold into weighted cohorts and no per-client Subscriber
+  /// exists. With row_bucket_ms == 0, observables are bit-identical to the
+  /// per-client plane.
+  bool cohorts = false;
+  /// Cohort plane only: quantize latency rows to floor(latency / bucket) *
+  /// bucket before interning, folding near-identical clients too at the
+  /// price of delivery times moving by up to one bucket.
+  Millis row_bucket_ms = 0.0;
+  /// Reliability layer (DESIGN.md §15): sequenced replay, gap detection and
+  /// re-request on either subscriber plane, fault-exempt control traffic,
+  /// and state replication from every broker to a standby, its
+  /// backbone-nearest peer (lowest id on ties). Off keeps every observable
+  /// bit-identical to the pre-reliable system.
+  bool reliable = false;
+};
+
+/// Unscaled lookaheads of a sharded plane: the scalar window width (the
+/// minimum cross-shard latency) and the K*K cross-shard matrix (row-major).
+struct ShardLookaheads {
+  Millis min = kUnreachable;
+  std::vector<Millis> matrix;
+};
+
+/// LiveSystem's sharding recipe, shared with harnesses that wire a
+/// simulator by hand: regions on options.shards shards by
+/// options.placement, every client (by `home_region`) and every flock of
+/// `pool` (when not null; its flock universe closes here) on its home
+/// region's shard, and windows from the cross-shard lookahead matrix under
+/// options.window_policy. Pre: 2 <= shards <= regions, no pending events.
+ShardLookaheads shard_data_plane(net::Simulator& sim,
+                                 net::SimTransport& transport,
+                                 const geo::InterRegionLatency& backbone,
+                                 const std::vector<RegionId>& home_region,
+                                 client::CohortPool* pool,
+                                 const LiveOptions& options);
+
 class LiveSystem {
  public:
-  /// Builds brokers for every region of the scenario's catalog and one
-  /// endpoint per publisher/subscriber of its topic. Borrows the scenario;
-  /// it must outlive the system.
-  explicit LiveSystem(const Scenario& scenario);
+  /// Builds brokers for every region of the scenario's catalog, one
+  /// endpoint per publisher of its topic, and the subscriber side: one
+  /// endpoint per subscriber, or the cohort pool. Then shards the data
+  /// plane and arms the reliability layer as `options` ask. Borrows the
+  /// scenario; it must outlive the system.
+  explicit LiveSystem(const Scenario& scenario,
+                      const LiveOptions& options = {});
 
   /// Bootstraps a configuration everywhere: brokers' assignment rows,
   /// publishers' send targets, subscribers' attachments. Runs the simulator
@@ -67,65 +136,13 @@ class LiveSystem {
   std::vector<broker::Controller::Decision> control_round(
       const core::OptimizerOptions& options = {});
 
-  /// Chooses the control-plane pipeline. Incremental (default): region
-  /// managers send delta reports and the controller re-optimizes dirty
-  /// topics only. Off: full snapshots + Controller::reconfigure_full every
-  /// round (the seed's behaviour, kept as the differential reference).
-  void set_incremental(bool incremental) { incremental_ = incremental; }
-  [[nodiscard]] bool incremental() const { return incremental_; }
+  /// The options this system was built with.
+  [[nodiscard]] const LiveOptions& options() const { return options_; }
 
-  /// Splits the data plane over `shards` worker threads (DESIGN.md §11):
-  /// regions are placed by the current shard placement strategy (topology
-  /// clustering by default), clients follow their home region, and the
-  /// simulator synchronizes on conservative windows derived from the
-  /// cross-shard lookahead matrix (rescaled under an installed FaultPlan's
-  /// delay rules before every drain). Observables stay bit-identical to the
-  /// single-threaded plane for every shard count, placement and window
-  /// policy. Requires shards <= regions; call right after construction,
-  /// before deploy()/traffic. `shards == 1` is the single-threaded plane.
-  void set_shards(std::uint32_t shards);
-  [[nodiscard]] std::uint32_t shards() const { return shards_; }
-
-  /// Region-to-shard placement for set_shards. Default kTopology: cluster
-  /// nearby regions onto one shard (DESIGN.md §14), maximizing the minimum
-  /// cross-shard latency and with it every window. kRoundRobin is the PR 5
-  /// reference recipe. Call before set_shards; placement never changes
-  /// observables, only window structure and wall-clock.
-  void set_shard_placement(net::ShardPlacement placement);
-  [[nodiscard]] net::ShardPlacement shard_placement() const {
-    return placement_;
-  }
-
-  /// Window policy for the sharded plane. Default kAdaptive: windows widen
-  /// past the fixed stride whenever the busy-shard horizon allows
-  /// (DESIGN.md §14). kFixed is the PR 5 pacing. Call before set_shards;
-  /// the policy never changes observables.
-  void set_window_policy(net::WindowPolicy policy);
-  [[nodiscard]] net::WindowPolicy window_policy() const {
-    return window_policy_;
-  }
-
-  /// Switches the subscriber side to the cohort-compressed plane
-  /// (DESIGN.md §12): identical subscribers fold into weighted cohorts, the
-  /// per-client Subscriber endpoints leave the wire, and one weighted
-  /// message per flock replaces one per member. With `row_bucket_ms == 0`
-  /// (the default) only bit-identical latency rows merge, and observables
-  /// (delivery times, costs, weighted counters) stay bit-identical to the
-  /// per-client plane. A positive bucket quantizes rows to
-  /// floor(latency / bucket) * bucket before interning, so near-identical
-  /// clients fold too — more compression, at the price of delivery times
-  /// moving by up to one bucket. Call once, before
-  /// deploy()/traffic and before set_shards (the flock universe must exist
-  /// to be sharded). Disabling after enabling is not supported.
-  void set_cohorts(bool on, Millis row_bucket_ms = 0.0);
-  [[nodiscard]] bool cohorts() const { return pool_ != nullptr; }
-  /// The cohort pool when cohorts are on, nullptr otherwise.
+  /// The cohort pool on the cohort plane, nullptr on the per-client plane.
   [[nodiscard]] client::CohortPool* cohort_pool() { return pool_.get(); }
   [[nodiscard]] const client::CohortPool* cohort_pool() const {
     return pool_.get();
-  }
-  [[nodiscard]] const client::ClientRegistry* client_registry() const {
-    return registry_.get();
   }
 
   /// Same as control_round but does NOT drain the simulator: the
@@ -170,16 +187,6 @@ class LiveSystem {
 
   // ---- Reliable delivery + broker state replication (DESIGN.md §15)
 
-  /// Arms the reliability layer end to end: brokers stamp and retain
-  /// publications (sequenced replay), clients detect gaps and re-request,
-  /// control traffic becomes fault-exempt on the transport, and every
-  /// broker streams its subscription/config state to a standby — the
-  /// backbone-nearest peer region (lowest id on ties). Call after
-  /// construction, before deploy()/traffic. Off by default: without it,
-  /// every observable is bit-identical to the pre-reliable system.
-  void set_reliable(bool on);
-  [[nodiscard]] bool reliable() const { return reliable_; }
-
   /// Outage entry point for the chaos/churn paths. Besides the transport's
   /// down flag, in reliable mode a down-transition CRASHES the region's
   /// broker (its in-memory state is lost, and publications no surviving
@@ -208,7 +215,13 @@ class LiveSystem {
   /// holds (called before the crash wipes its state).
   void record_crash_losses(RegionId region);
 
+  // Construction steps, called once each from the constructor in this
+  // order.
+  void build_cohort_pool();
+  void arm_reliable();
+
   const Scenario* scenario_;
+  const LiveOptions options_;
   net::Simulator sim_;
   std::unique_ptr<net::SimTransport> transport_;
   // Cohort plane (null in per-client mode). Declared after the transport:
@@ -224,15 +237,8 @@ class LiveSystem {
   Dollars billed_so_far_ = 0.0;
   std::vector<std::uint64_t> last_interval_counts_;  // per publisher index
   Bytes last_payload_bytes_ = 0;
-  bool incremental_ = true;
-  std::uint32_t shards_ = 1;
-  net::ShardPlacement placement_ = net::ShardPlacement::kTopology;
-  net::WindowPolicy window_policy_ = net::WindowPolicy::kAdaptive;
-  Millis base_lookahead_ = kUnreachable;  // min cross-shard latency, unscaled
-  /// Unscaled cross-shard lookahead matrix of the current map (K*K,
-  /// row-major); rescaled alongside base_lookahead_ before every drain.
-  std::vector<Millis> base_lookaheads_;
-  bool reliable_ = false;
+  /// Rescaled under the installed FaultPlan before every drain.
+  ShardLookaheads base_lookaheads_;
   /// Cumulative crash-lost publication counts by topic value.
   std::map<std::int32_t, std::uint64_t> crash_lost_;
 };

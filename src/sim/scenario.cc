@@ -17,9 +17,19 @@ std::uint64_t messages_per_interval(const WorkloadSpec& workload) {
 Scenario make_scenario(const std::vector<PlacementSpec>& placements,
                        const WorkloadSpec& workload, Rng& rng,
                        const geo::KingSynthParams& synth) {
+  return make_scenario(geo::RegionCatalog::ec2_2016(),
+                       geo::InterRegionLatency::ec2_2016(), placements,
+                       workload, rng, synth);
+}
+
+Scenario make_scenario(const geo::RegionCatalog& catalog,
+                       const geo::InterRegionLatency& backbone,
+                       const std::vector<PlacementSpec>& placements,
+                       const WorkloadSpec& workload, Rng& rng,
+                       const geo::KingSynthParams& synth) {
   Scenario s;
-  s.catalog = geo::RegionCatalog::ec2_2016();
-  s.backbone = geo::InterRegionLatency::ec2_2016();
+  s.catalog = catalog;
+  s.backbone = backbone;
   s.interval_seconds = workload.interval_seconds;
 
   s.population.latencies = geo::ClientLatencyMap(s.catalog.size());

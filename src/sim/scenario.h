@@ -70,6 +70,12 @@ struct Scenario {
                                      const WorkloadSpec& workload, Rng& rng,
                                      const geo::KingSynthParams& synth = {});
 
+/// The same over a given world (catalog + backbone).
+[[nodiscard]] Scenario make_scenario(
+    const geo::RegionCatalog& catalog, const geo::InterRegionLatency& backbone,
+    const std::vector<PlacementSpec>& placements, const WorkloadSpec& workload,
+    Rng& rng, const geo::KingSynthParams& synth = {});
+
 /// Experiment 1: 10 publishers and 10 subscribers close to each of the ten
 /// regions, 1 msg/s, 1 KB, ratio 75 %.
 [[nodiscard]] Scenario make_experiment1_scenario(Rng& rng);

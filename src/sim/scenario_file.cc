@@ -141,41 +141,22 @@ std::optional<Scenario> build_scenario(const ScenarioSpec& spec,
                                        const geo::RegionCatalog& catalog,
                                        const geo::InterRegionLatency& backbone,
                                        std::string* error) {
-  Rng rng(spec.seed);
-  Scenario scenario;
-  scenario.catalog = catalog;
-  scenario.backbone = backbone;
-  scenario.interval_seconds = spec.workload.interval_seconds;
-  scenario.population.latencies = geo::ClientLatencyMap(catalog.size());
-
-  std::vector<ClientId> pub_ids, sub_ids;
+  std::vector<PlacementSpec> placements;
   for (const auto& place : spec.placements) {
     const RegionId region = catalog.find(place.region);
     if (!region.valid()) {
       if (error) *error = "unknown region '" + place.region + "'";
       return std::nullopt;
     }
-    auto local = geo::synthesize_local_population(
-        catalog, backbone, region, place.publishers + place.subscribers, {},
-        rng);
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      const ClientId id = scenario.population.latencies.add_client(
-          local.latencies.row(ClientId{static_cast<ClientId::underlying_type>(i)}));
-      scenario.population.home_region.push_back(region);
-      (i < place.publishers ? pub_ids : sub_ids).push_back(id);
-    }
+    placements.push_back({region, place.publishers, place.subscribers});
   }
-  if (pub_ids.empty() || sub_ids.empty()) {
+  Rng rng(spec.seed);
+  Scenario scenario =
+      make_scenario(catalog, backbone, placements, spec.workload, rng);
+  if (scenario.topic.publishers.empty() || scenario.topic.subscribers.empty()) {
     if (error) *error = "scenario needs at least one publisher and one subscriber";
     return std::nullopt;
   }
-
-  scenario.topic.topic = TopicId{0};
-  scenario.topic.constraint = {spec.workload.ratio, spec.workload.max_t};
-  scenario.topic.publishers = core::uniform_publishers(
-      pub_ids, messages_per_interval(spec.workload),
-      spec.workload.message_bytes);
-  scenario.topic.subscribers = core::unit_subscribers(sub_ids);
 
   // Fault endpoints stay name-based in the schedule, but reject names the
   // catalog can't resolve now so the error carries the scenario's context.

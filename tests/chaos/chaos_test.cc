@@ -198,8 +198,8 @@ class ChaosCampaignTest
                               workload, rng_);
     options_.rounds = 10;
     options_.interval_seconds = 5.0;
-    std::tie(options_.shards, options_.placement, options_.window_policy) =
-        GetParam();
+    std::tie(options_.live.shards, options_.live.placement,
+             options_.live.window_policy) = GetParam();
   }
 
   /// Outage + partition + drop + delay, faults clear by round 6 so the
@@ -307,7 +307,7 @@ TEST_P(ChaosCampaignTest, BoundedSoakAcrossSeedsAndPaths) {
   // the CI soak target runs longer campaigns.
   options_.rounds = 8;
   for (const bool incremental : {true, false}) {
-    options_.incremental = incremental;
+    options_.live.incremental = incremental;
     ChaosRunner runner(scenario_, options_);
     for (const std::uint64_t seed : {11u, 12u, 13u}) {
       const ChaosReport report = runner.run(seed);
@@ -361,7 +361,7 @@ class ChaosReliableTest : public ::testing::Test {
                               workload, rng_);
     options_.rounds = 10;
     options_.interval_seconds = 5.0;
-    options_.reliable = true;
+    options_.live.reliable = true;
   }
 
   FaultSchedule mixed_schedule() {
@@ -385,10 +385,26 @@ TEST_F(ChaosReliableTest, AllNineOraclesHoldUnderMixedFaults) {
 }
 
 TEST_F(ChaosReliableTest, CohortPlaneHoldsAllNineOraclesToo) {
-  options_.cohorts = true;
+  options_.live.cohorts = true;
   ChaosRunner runner(scenario_, options_);
   const ChaosReport report = runner.run_schedule(mixed_schedule(), 42);
   EXPECT_TRUE(report.passed()) << report.render();
+}
+
+TEST_F(ChaosReliableTest, ShardedReportsMatchOneShardOnBothPlanes) {
+  // Arming the layer sends every broker's first state snapshot, so a
+  // sharded reliable system shards before it arms — and then reports
+  // exactly what the single-threaded plane reports.
+  for (const bool cohorts : {false, true}) {
+    options_.live.cohorts = cohorts;
+    options_.live.shards = 1;
+    const ChaosReport one =
+        ChaosRunner(scenario_, options_).run_schedule(mixed_schedule(), 42);
+    options_.live.shards = 4;
+    const ChaosReport four =
+        ChaosRunner(scenario_, options_).run_schedule(mixed_schedule(), 42);
+    EXPECT_EQ(one.render(), four.render()) << "cohorts=" << cohorts;
+  }
 }
 
 TEST_F(ChaosReliableTest, SameSeedIsBitReproducible) {
@@ -454,13 +470,13 @@ TEST_F(ChaosReliableTest, ReliableOffLeavesTheDefaultPlaneBitIdentical) {
   // The default-off contract: a reliable-capable binary with the flag off
   // renders byte-identically to the seed harness — reliable machinery must
   // not leak into the default plane.
-  options_.reliable = false;
+  options_.live.reliable = false;
   ChaosRunner off(scenario_, options_);
   const ChaosReport a = off.run_schedule(mixed_schedule(), 42);
   ASSERT_TRUE(a.passed()) << a.render();
 
   // ...and the reliable books render only under the flag.
-  options_.reliable = true;
+  options_.live.reliable = true;
   ChaosRunner on(scenario_, options_);
   const ChaosReport b = on.run_schedule(mixed_schedule(), 42);
   ASSERT_TRUE(b.passed()) << b.render();
@@ -484,7 +500,7 @@ class ChaosCohortTest : public ::testing::TestWithParam<bool> {
                               workload, rng_);
     options_.rounds = 10;
     options_.interval_seconds = 5.0;
-    options_.cohorts = GetParam();
+    options_.live.cohorts = GetParam();
   }
 
   Rng rng_;
@@ -524,7 +540,7 @@ TEST(ChaosCohortEquivalence, DropFreeReportsAreByteIdenticalAcrossPlanes) {
   // delays never match client-bound links) the FULL rendered report must be
   // byte-identical between the per-client and cohort planes, for every
   // seed. Drop rules are excluded by design: a partially dropped
-  // kConfigUpdate re-homes the whole flock (see ChaosOptions::cohorts).
+  // kConfigUpdate re-homes the whole flock (see ChaosOptions::live).
   Rng rng(303);
   WorkloadSpec workload;
   workload.interval_seconds = 5.0;
@@ -542,21 +558,21 @@ TEST(ChaosCohortEquivalence, DropFreeReportsAreByteIdenticalAcrossPlanes) {
   options.rounds = 10;
   options.interval_seconds = 5.0;
   for (const std::uint64_t seed : {42u, 1234u}) {
-    options.cohorts = false;
+    options.live.cohorts = false;
     const ChaosReport per_client =
         ChaosRunner(scenario, options).run_schedule(schedule, seed);
-    options.cohorts = true;
+    options.live.cohorts = true;
     const ChaosReport cohorts =
         ChaosRunner(scenario, options).run_schedule(schedule, seed);
     ASSERT_TRUE(per_client.passed()) << per_client.render();
     EXPECT_EQ(per_client.render(), cohorts.render()) << "seed " << seed;
 
     // ...and sharding the cohort plane changes nothing either.
-    options.shards = 4;
+    options.live.shards = 4;
     const ChaosReport sharded =
         ChaosRunner(scenario, options).run_schedule(schedule, seed);
     EXPECT_EQ(per_client.render(), sharded.render()) << "seed " << seed;
-    options.shards = 1;
+    options.live.shards = 1;
   }
 }
 
@@ -582,23 +598,23 @@ TEST(ChaosShardEquivalence, ReportRenderIsByteIdenticalAcrossShardCounts) {
       "fault delay region:* region:* 4 1 2.0 20\n"
       "fault drop ap-northeast-1 * 5 1 0.25\n");
 
-  options.shards = 1;
+  options.live.shards = 1;
   const ChaosReport one = ChaosRunner(scenario, options).run_schedule(
       schedule, 42);
   ASSERT_TRUE(one.passed()) << one.render();
   // ...under every (placement, window-policy) tuning of the sharded plane.
-  options.shards = 4;
+  options.live.shards = 4;
   for (const auto placement : {net::ShardPlacement::kRoundRobin,
                                net::ShardPlacement::kTopology}) {
     for (const auto policy :
          {net::WindowPolicy::kFixed, net::WindowPolicy::kAdaptive}) {
-      options.placement = placement;
-      options.window_policy = policy;
+      options.live.placement = placement;
+      options.live.window_policy = policy;
       const ChaosReport four = ChaosRunner(scenario, options).run_schedule(
           schedule, 42);
       EXPECT_EQ(one.render(), four.render())
           << net::shard_placement_name(placement) << " / "
-          << (policy == net::WindowPolicy::kFixed ? "fixed" : "adaptive");
+          << net::window_policy_name(policy);
       EXPECT_EQ(one.deliveries, four.deliveries);
     }
   }

@@ -299,8 +299,7 @@ TEST(CohortFanoutTest, RetiredCohortIsExcludedFromFanout) {
       sim::make_scenario({{RegionId{0}, 1, 2}}, workload, rng);
   ASSERT_EQ(scenario.topic.subscribers.size(), 6u);
 
-  sim::LiveSystem sys(scenario);
-  sys.set_cohorts(true);
+  sim::LiveSystem sys(scenario, {.cohorts = true});
   ASSERT_EQ(sys.cohort_pool()->cohort_count(), 2u);
   sys.deploy({geo::RegionSet::universe(10), core::DeliveryMode::kRouted});
 
@@ -335,8 +334,7 @@ TEST(CohortFanoutTest, MemberDeathBetweenIntervalsShrinksTheWeight) {
   const sim::Scenario scenario =
       sim::make_scenario({{RegionId{0}, 1, 2}}, workload, rng);
 
-  sim::LiveSystem sys(scenario);
-  sys.set_cohorts(true);
+  sim::LiveSystem sys(scenario, {.cohorts = true});
   sys.deploy({geo::RegionSet::universe(10), core::DeliveryMode::kRouted});
 
   Rng traffic(22);
@@ -367,8 +365,7 @@ TEST(CohortFanoutTest, SecondTopicJoinMatchesThePerClientPlane) {
                                         core::DeliveryMode::kDirect};
 
   sim::LiveSystem reference(scenario);
-  sim::LiveSystem cohorts(scenario);
-  cohorts.set_cohorts(true);
+  sim::LiveSystem cohorts(scenario, {.cohorts = true});
   const std::size_t initial_cohorts = cohorts.cohort_pool()->cohort_count();
   for (sim::LiveSystem* sys : {&reference, &cohorts}) {
     sys->deploy(bootstrap);

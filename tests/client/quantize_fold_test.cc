@@ -109,8 +109,8 @@ TEST(QuantizedFolding, LiveCohortCountIsMonotoneInTheBucketWidth) {
     const sim::Scenario scenario = sim::make_scenario(
         {{RegionId{0}, 2, 6}, {RegionId{3}, 1, 6}}, workload, rng);
     n_subscribers = scenario.topic.subscribers.size();
-    sim::LiveSystem live(scenario);
-    live.set_cohorts(true, bucket);
+    sim::LiveSystem live(scenario,
+                         {.cohorts = true, .row_bucket_ms = bucket});
     ASSERT_NE(live.cohort_pool(), nullptr);
     cohorts.push_back(live.cohort_pool()->cohort_count());
   }

@@ -42,15 +42,17 @@ TEST_P(CohortDiff, CohortPlaneIsBitIdenticalToPerClientPlane) {
 
   // Reference: per-client subscribers on the fast path. Candidates: the
   // cohort plane, single-threaded and on four shards.
-  auto reference = std::make_unique<LiveSystem>(scenario);
+  auto reference = std::make_unique<LiveSystem>(
+      scenario, LiveOptions{.incremental = incremental});
   const std::vector<std::uint32_t> shard_counts{1, 4};
   std::vector<std::unique_ptr<LiveSystem>> candidates;
   std::vector<LiveSystem*> systems{reference.get()};
   for (std::uint32_t shards : shard_counts) {
-    candidates.push_back(std::make_unique<LiveSystem>(scenario));
-    candidates.back()->set_cohorts(true);
-    candidates.back()->set_shards(shards);
-    ASSERT_TRUE(candidates.back()->cohorts());
+    candidates.push_back(std::make_unique<LiveSystem>(
+        scenario, LiveOptions{.incremental = incremental,
+                              .shards = shards,
+                              .cohorts = true}));
+    ASSERT_NE(candidates.back()->cohort_pool(), nullptr);
     systems.push_back(candidates.back().get());
   }
 
@@ -62,8 +64,6 @@ TEST_P(CohortDiff, CohortPlaneIsBitIdenticalToPerClientPlane) {
       ASSERT_EQ(candidate->cohort_pool()->cohort_weight(c), 5u);
     }
   }
-
-  for (LiveSystem* sys : systems) sys->set_incremental(incremental);
 
   const core::TopicConfig bootstrap{geo::RegionSet::universe(10),
                                     core::DeliveryMode::kRouted};
@@ -172,9 +172,8 @@ std::vector<std::uint64_t> reference_chain(bool incremental, bool cohorts) {
   const Scenario scenario =
       make_scenario({{RegionId{1}, 1, 2}, {RegionId{8}, 1, 2}}, workload, rng);
 
-  LiveSystem sys(scenario);
-  sys.set_cohorts(cohorts);
-  sys.set_incremental(incremental);
+  LiveSystem sys(scenario,
+                 {.incremental = incremental, .cohorts = cohorts});
   sys.deploy({geo::RegionSet::universe(10), core::DeliveryMode::kDirect});
 
   Rng traffic(99);
@@ -226,13 +225,11 @@ TEST_P(CohortDiff, ReliableControlKeepsPlanesIdenticalUnderDropSchedules) {
   const Scenario scenario =
       make_scenario({{RegionId{0}, 2, 3}, {RegionId{5}, 2, 3}}, workload, rng);
 
-  LiveSystem per_client(scenario);
-  LiveSystem cohort(scenario);
-  cohort.set_cohorts(true);
-  per_client.set_incremental(incremental);
-  cohort.set_incremental(incremental);
-  per_client.set_reliable(true);
-  cohort.set_reliable(true);
+  LiveSystem per_client(scenario,
+                        {.incremental = incremental, .reliable = true});
+  LiveSystem cohort(scenario, {.incremental = incremental,
+                               .cohorts = true,
+                               .reliable = true});
 
   // One permanently-active drop rule per system, same seed: region-origin
   // links only (deliveries and forwards), so both planes draw identical
@@ -315,6 +312,61 @@ TEST_P(CohortDiff, ReliableControlKeepsPlanesIdenticalUnderDropSchedules) {
   const std::uint64_t golden = 0x1c310d1446b0df35ULL;
   EXPECT_EQ(digest_a.value(), golden) << testutil::render_chain(chain);
   EXPECT_EQ(digest_b.value(), golden) << testutil::render_chain(chain);
+}
+
+TEST(CohortReliable, CohortsPlusReliableRepairDropsLikePerClient) {
+  // A system built with {cohorts, reliable} has a reliable cohort pool,
+  // whatever order the two options are spelled in: the constructor builds
+  // the pool before it arms the reliability layer. With gap detection on,
+  // deliveries a client-bound drop rule eats come back through weighted
+  // replay, exactly as the per-client plane's do.
+  Rng rng(2026);
+  WorkloadSpec workload;
+  workload.interval_seconds = 10.0;
+  workload.subscriber_replication = 4;
+  const Scenario scenario =
+      make_scenario({{RegionId{0}, 2, 3}, {RegionId{5}, 2, 3}}, workload, rng);
+
+  LiveSystem per_client(scenario, {.reliable = true});
+  LiveSystem cohort(scenario, {.cohorts = true, .reliable = true});
+  ASSERT_NE(cohort.cohort_pool(), nullptr);
+  ASSERT_TRUE(cohort.cohort_pool()->reliable());
+
+  net::FaultPlan plan_a(77);
+  net::FaultPlan plan_b(77);
+  net::FaultRule drop;
+  drop.kind = net::FaultRule::Kind::kDrop;
+  drop.from = net::FaultEndpoint::any_region();
+  drop.to = net::FaultEndpoint::any_client();
+  drop.drop_probability = 0.3;
+  plan_a.add(drop);
+  plan_b.add(drop);
+  per_client.transport().set_fault_plan(&plan_a);
+  cohort.transport().set_fault_plan(&plan_b);
+
+  const core::TopicConfig bootstrap{geo::RegionSet::universe(10),
+                                    core::DeliveryMode::kRouted};
+  per_client.deploy(bootstrap);
+  cohort.deploy(bootstrap);
+  Rng traffic_a(31), traffic_b(31);
+  const auto a = per_client.run_interval(10.0, 1024, 2.0, traffic_a);
+  const auto b = cohort.run_interval(10.0, 1024, 2.0, traffic_b);
+
+  EXPECT_EQ(b.delivery_times, a.delivery_times);
+  EXPECT_EQ(b.interval_cost, a.interval_cost);
+  EXPECT_EQ(plan_b.random_dropped(), plan_a.random_dropped());
+  // The interval's sync pass repaired more deliveries than are still
+  // missing (replays cross the same lossy links)...
+  const std::uint64_t expected =
+      b.publications * scenario.topic.subscribers.size();
+  EXPECT_GT(plan_b.random_dropped(), expected - b.deliveries);
+  // ...and further passes close the gap: zero loss.
+  const client::CohortPool& pool = *cohort.cohort_pool();
+  for (int pass = 0; pass < 10 && pool.interval_delivery_weight() < expected;
+       ++pass) {
+    cohort.sync_reliable();
+  }
+  EXPECT_EQ(pool.interval_delivery_weight(), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(ControlPlane, CohortDiff, ::testing::Bool(),

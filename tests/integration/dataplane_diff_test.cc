@@ -39,8 +39,7 @@ std::vector<std::uint64_t> data_plane_chain(bool incremental) {
   const Scenario scenario =
       make_scenario({{RegionId{0}, 2, 4}, {RegionId{5}, 2, 4}}, workload, rng);
 
-  LiveSystem sys(scenario);
-  sys.set_incremental(incremental);
+  LiveSystem sys(scenario, {.incremental = incremental});
   // Jitter exercises the per-hop RNG draw order.
   sys.transport().enable_jitter({0.05, 1.5}, 99);
   sys.deploy({geo::RegionSet::universe(10), core::DeliveryMode::kRouted});
@@ -124,25 +123,26 @@ TEST_P(ShardedPlaneDiff, BitIdenticalForEveryShardCount) {
   const Scenario scenario =
       make_scenario({{RegionId{0}, 2, 4}, {RegionId{5}, 2, 4}}, workload, rng);
 
-  // The reference never calls set_shards at all; the candidates sweep the
-  // shard counts, including the trivial K = 1 (same plane, exercised
-  // through the configuration path).
+  // The reference runs on default options; the candidates sweep the shard
+  // counts, including the trivial K = 1 (same plane, with the placement and
+  // window policy under test passed along).
   const std::vector<std::uint32_t> shard_counts{1, 2, 4, 8};
-  auto reference = std::make_unique<LiveSystem>(scenario);
+  auto reference = std::make_unique<LiveSystem>(
+      scenario, LiveOptions{.incremental = incremental});
   std::vector<std::unique_ptr<LiveSystem>> candidates;
   std::vector<LiveSystem*> systems{reference.get()};
   for (std::uint32_t shards : shard_counts) {
-    candidates.push_back(std::make_unique<LiveSystem>(scenario));
-    candidates.back()->set_shard_placement(placement);
-    candidates.back()->set_window_policy(policy);
-    candidates.back()->set_shards(shards);
-    ASSERT_EQ(candidates.back()->shards(), shards);
+    candidates.push_back(std::make_unique<LiveSystem>(
+        scenario, LiveOptions{.incremental = incremental,
+                              .shards = shards,
+                              .placement = placement,
+                              .window_policy = policy}));
+    ASSERT_EQ(candidates.back()->options().shards, shards);
     systems.push_back(candidates.back().get());
   }
 
   const net::SimTransport::JitterSpec jitter{0.05, 1.5};
   for (LiveSystem* sys : systems) {
-    sys->set_incremental(incremental);
     sys->transport().enable_jitter(jitter, 99);
   }
 

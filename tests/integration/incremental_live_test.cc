@@ -22,10 +22,9 @@ TEST(IncrementalLive, MatrixMatchesFullPipelineAcrossTenRounds) {
       make_scenario({{RegionId{0}, 2, 4}, {RegionId{5}, 2, 4}}, workload, rng);
 
   LiveSystem incremental(scenario);
-  LiveSystem full(scenario);
-  full.set_incremental(false);
-  ASSERT_TRUE(incremental.incremental());
-  ASSERT_FALSE(full.incremental());
+  LiveSystem full(scenario, {.incremental = false});
+  ASSERT_TRUE(incremental.options().incremental);
+  ASSERT_FALSE(full.options().incremental);
 
   const core::TopicConfig bootstrap{geo::RegionSet::universe(10),
                                     core::DeliveryMode::kRouted};

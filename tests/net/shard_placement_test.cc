@@ -53,6 +53,16 @@ TEST(ShardPlacementFlag, ParsesAndNamesRoundTrip) {
   }
 }
 
+TEST(WindowPolicyFlag, ParsesAndNamesRoundTrip) {
+  EXPECT_EQ(parse_window_policy("fixed"), WindowPolicy::kFixed);
+  EXPECT_EQ(parse_window_policy("adaptive"), WindowPolicy::kAdaptive);
+  EXPECT_FALSE(parse_window_policy("Fixed").has_value());
+  EXPECT_FALSE(parse_window_policy("").has_value());
+  for (const auto policy : {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
+    EXPECT_EQ(parse_window_policy(window_policy_name(policy)), policy);
+  }
+}
+
 TEST(ShardPlacement, RoundRobinIsRegionModuloShards) {
   const auto backbone = geo::InterRegionLatency::ec2_2016();
   const auto assign =
@@ -151,10 +161,8 @@ TEST(ShardPlacement, CohortFlocksLandOnTheirHomeRegionsShard) {
       {{RegionId{0}, 2, 4}, {RegionId{5}, 2, 4}}, workload, rng);
   for (const auto placement :
        {ShardPlacement::kRoundRobin, ShardPlacement::kTopology}) {
-    sim::LiveSystem live(scenario);
-    live.set_cohorts(true);
-    live.set_shard_placement(placement);
-    live.set_shards(4);
+    sim::LiveSystem live(
+        scenario, {.shards = 4, .placement = placement, .cohorts = true});
     const auto* pool = live.cohort_pool();
     ASSERT_NE(pool, nullptr);
     ASSERT_GT(pool->flock_count(), 0u);

@@ -85,8 +85,7 @@ TEST_F(MetricsSnapshotTest, WindowMetricsLiveInTheirOwnRegistry) {
   // varies with the shard count — it must NEVER leak into collect_metrics,
   // whose render is byte-compared across shard counts by the differential
   // suites.
-  LiveSystem live(scenario_);
-  live.set_shards(4);
+  LiveSystem live(scenario_, {.shards = 4});
   live.deploy({geo::RegionSet::single(RegionId{0}),
                core::DeliveryMode::kDirect});
   (void)live.run_interval(10.0, 1024, 1.0, rng_);

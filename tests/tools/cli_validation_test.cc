@@ -46,40 +46,37 @@ RunOutput run_cli(const std::string& command) {
   return out;
 }
 
+/// Runs a binary (path relative to the build tree) and expects its exit
+/// code and a substring of its output.
+void expect_cli(const std::string& command, int exit_code,
+                const std::string& needle) {
+  const auto out = run_cli(build_dir() + command);
+  EXPECT_EQ(out.exit_code, exit_code) << command << "\n" << out.text;
+  EXPECT_NE(out.text.find(needle), std::string::npos)
+      << command << "\n" << out.text;
+}
+
 TEST(CliValidation, SimRejectsMoreShardsThanRegions) {
-  const auto out = run_cli(build_dir() +
-                           "/tools/multipub-sim --pubs-per-region 1 "
-                           "--subs-per-region 1 --live --shards 99");
-  EXPECT_EQ(out.exit_code, 2) << out.text;
-  EXPECT_NE(out.text.find("shards must be <= regions"), std::string::npos)
-      << out.text;
+  expect_cli("/tools/multipub-sim --pubs-per-region 1 --subs-per-region 1 "
+             "--live --shards 99",
+             2, "shards must be <= regions");
 }
 
 TEST(CliValidation, ChaosRejectsMoreShardsThanRegions) {
-  const auto out =
-      run_cli(build_dir() + "/tools/multipub-chaos --seed 7 --shards 99");
-  EXPECT_EQ(out.exit_code, 2) << out.text;
-  EXPECT_NE(out.text.find("shards must be <= regions"), std::string::npos)
-      << out.text;
+  expect_cli("/tools/multipub-chaos --seed 7 --shards 99", 2,
+             "shards must be <= regions");
 }
 
 TEST(CliValidation, BenchRejectsMoreShardsThanRegions) {
-  const auto out = run_cli(build_dir() +
-                           "/bench/bench_dataplane --pubs 100 "
-                           "--mode shards=99");
-  EXPECT_EQ(out.exit_code, 2) << out.text;
-  EXPECT_NE(out.text.find("K <= regions"), std::string::npos) << out.text;
+  expect_cli("/bench/bench_dataplane --pubs 100 --mode shards=99", 2,
+             "K <= regions");
 }
 
 TEST(CliValidation, BenchRejectsMalformedShardCounts) {
   // 2^32 + 2 would truncate to 2 shards; "4abc" would parse as 4.
   for (const char* mode : {"shards=4294967298", "shards=4abc"}) {
-    const auto out = run_cli(build_dir() +
-                             "/bench/bench_dataplane --pubs 100 --mode " +
-                             mode);
-    EXPECT_EQ(out.exit_code, 2) << mode << "\n" << out.text;
-    EXPECT_NE(out.text.find("needs an integer K"), std::string::npos)
-        << out.text;
+    expect_cli(std::string("/bench/bench_dataplane --pubs 100 --mode ") + mode,
+               2, "needs an integer K");
   }
 }
 
@@ -87,111 +84,96 @@ TEST(CliValidation, ReliableFlagIsAcceptedByAllThreeBinaries) {
   // `--reliable on` must pass flag validation everywhere the reliability
   // layer can run. The node binary is probed up to the scenario-file open
   // (exit 1, not the flag-error exit 2): the flag parsed, the file did not.
-  const auto sim = run_cli(build_dir() +
-                           "/tools/multipub-sim --pubs-per-region 1 "
-                           "--subs-per-region 1 --live --reliable on");
-  EXPECT_EQ(sim.exit_code, 0) << sim.text;
-
-  const auto chaos = run_cli(build_dir() +
-                             "/tools/multipub-chaos --seed 7 --reliable on "
-                             "--print-schedule");
-  EXPECT_EQ(chaos.exit_code, 0) << chaos.text;
-
-  const auto node = run_cli(build_dir() +
-                            "/tools/multipub-node --role broker "
-                            "--scenario /nonexistent --reliable on");
-  EXPECT_EQ(node.exit_code, 1) << node.text;
-  EXPECT_NE(node.text.find("cannot open scenario file"), std::string::npos)
-      << node.text;
+  expect_cli("/tools/multipub-sim --pubs-per-region 1 --subs-per-region 1 "
+             "--live --reliable on",
+             0, "");
+  expect_cli("/tools/multipub-chaos --seed 7 --reliable on --print-schedule",
+             0, "");
+  expect_cli("/tools/multipub-node --role broker --scenario /nonexistent "
+             "--reliable on",
+             1, "cannot open scenario file");
 }
 
 TEST(CliValidation, ReliableFlagRejectsAnythingButOnAndOff) {
   const std::string expected = "--reliable must be 'on' or 'off'";
-
-  const auto sim = run_cli(build_dir() +
-                           "/tools/multipub-sim --pubs-per-region 1 "
-                           "--subs-per-region 1 --live --reliable maybe");
-  EXPECT_EQ(sim.exit_code, 2) << sim.text;
-  EXPECT_NE(sim.text.find(expected), std::string::npos) << sim.text;
-
-  const auto chaos = run_cli(build_dir() +
-                             "/tools/multipub-chaos --seed 7 "
-                             "--reliable maybe");
-  EXPECT_EQ(chaos.exit_code, 2) << chaos.text;
-  EXPECT_NE(chaos.text.find(expected), std::string::npos) << chaos.text;
-
-  const auto node = run_cli(build_dir() +
-                            "/tools/multipub-node --role broker "
-                            "--scenario /nonexistent --reliable maybe");
-  EXPECT_EQ(node.exit_code, 2) << node.text;
-  EXPECT_NE(node.text.find(expected), std::string::npos) << node.text;
+  expect_cli("/tools/multipub-sim --pubs-per-region 1 --subs-per-region 1 "
+             "--live --reliable maybe",
+             2, expected);
+  expect_cli("/tools/multipub-chaos --seed 7 --reliable maybe", 2, expected);
+  expect_cli("/tools/multipub-node --role broker --scenario /nonexistent "
+             "--reliable maybe",
+             2, expected);
 }
 
 TEST(CliValidation, TransportBatchingFlagIsAcceptedByTheNodeBinary) {
   // The flag must pass validation for both roles; the node is probed up to
   // the scenario-file open (exit 1, not the flag-error exit 2).
-  const auto broker = run_cli(build_dir() +
-                              "/tools/multipub-node --role broker "
-                              "--scenario /nonexistent "
-                              "--transport-batching off");
-  EXPECT_EQ(broker.exit_code, 1) << broker.text;
-  EXPECT_NE(broker.text.find("cannot open scenario file"), std::string::npos)
-      << broker.text;
-
-  const auto controller = run_cli(build_dir() +
-                                  "/tools/multipub-node --role controller "
-                                  "--scenario /nonexistent "
-                                  "--transport-batching on");
-  EXPECT_EQ(controller.exit_code, 1) << controller.text;
-  EXPECT_NE(controller.text.find("cannot open scenario file"),
-            std::string::npos)
-      << controller.text;
+  expect_cli("/tools/multipub-node --role broker --scenario /nonexistent "
+             "--transport-batching off",
+             1, "cannot open scenario file");
+  expect_cli("/tools/multipub-node --role controller --scenario /nonexistent "
+             "--transport-batching on",
+             1, "cannot open scenario file");
 }
 
 TEST(CliValidation, TransportBatchingFlagRejectsAnythingButOnAndOff) {
-  const auto node = run_cli(build_dir() +
-                            "/tools/multipub-node --role broker "
-                            "--scenario /nonexistent "
-                            "--transport-batching sometimes");
-  EXPECT_EQ(node.exit_code, 2) << node.text;
-  EXPECT_NE(
-      node.text.find("--transport-batching must be 'on' or 'off'"),
-      std::string::npos)
-      << node.text;
+  expect_cli("/tools/multipub-node --role broker --scenario /nonexistent "
+             "--transport-batching sometimes",
+             2, "--transport-batching must be 'on' or 'off'");
 }
 
 TEST(CliValidation, BreakHooksRequireReliableOn) {
   // The negative hooks sabotage the reliability layer; without the layer
   // armed they would silently test nothing, so the chaos CLI refuses them.
-  const auto out =
-      run_cli(build_dir() + "/tools/multipub-chaos --seed 7 --break-replay");
-  EXPECT_EQ(out.exit_code, 2) << out.text;
-  EXPECT_NE(out.text.find("need --reliable on"), std::string::npos)
-      << out.text;
+  expect_cli("/tools/multipub-chaos --seed 7 --break-replay", 2,
+             "need --reliable on");
 }
 
 TEST(CliValidation, TuningFlagsAreAcceptedVocabulary) {
   // --shard-placement / --window-policy must parse (bad values rejected,
   // good values not reported as unknown flags). --print-schedule keeps the
   // chaos run from actually executing a campaign.
-  const auto bad = run_cli(build_dir() +
-                           "/tools/multipub-chaos --seed 7 "
-                           "--shard-placement diagonal");
-  EXPECT_EQ(bad.exit_code, 2) << bad.text;
-  EXPECT_NE(bad.text.find("--shard-placement"), std::string::npos);
+  expect_cli("/tools/multipub-chaos --seed 7 --shard-placement diagonal", 2,
+             "--shard-placement");
+  expect_cli("/tools/multipub-chaos --seed 7 --shards 4 "
+             "--shard-placement round-robin --window-policy fixed "
+             "--print-schedule",
+             0, "");
+  expect_cli("/tools/multipub-sim --pubs-per-region 1 --subs-per-region 1 "
+             "--live --window-policy sometimes",
+             2, "--window-policy");
+}
 
-  const auto good = run_cli(build_dir() +
-                            "/tools/multipub-chaos --seed 7 --shards 4 "
-                            "--shard-placement round-robin "
-                            "--window-policy fixed --print-schedule");
-  EXPECT_EQ(good.exit_code, 0) << good.text;
+TEST(CliValidation, CohortsFlagIsStrictlyOnOrOff) {
+  // "off" must mean the per-client plane; anything but on|off is a flag
+  // error, not a silent "true".
+  const std::string bench =
+      "/bench/bench_dataplane --pubs 1000 --clients 600 --regions 6 "
+      "--mode fast --cohorts ";
+  const std::string sim =
+      "/tools/multipub-sim --pubs-per-region 1 --subs-per-region 1 --live "
+      "--cohorts ";
+  const std::string bad = "--cohorts must be 'on' or 'off'";
+  expect_cli(bench + "off", 0, "(per-client plane)");
+  expect_cli(bench + "on", 0, "(cohort plane)");
+  expect_cli(bench + "maybe", 2, bad);
+  expect_cli(sim + "off", 0, "per-client subscribers");
+  expect_cli(sim + "maybe", 2, bad);
+  // multipub-chaos reads the same vocabulary but does not accept --cohorts.
+  expect_cli("/tools/multipub-chaos --seed 7 --cohorts on", 2,
+             "unknown flag --cohorts");
+}
 
-  const auto bad_policy = run_cli(build_dir() +
-                                  "/tools/multipub-sim --pubs-per-region 1 "
-                                  "--subs-per-region 1 --live "
-                                  "--window-policy sometimes");
-  EXPECT_EQ(bad_policy.exit_code, 2) << bad_policy.text;
-  EXPECT_NE(bad_policy.text.find("--window-policy"), std::string::npos);
+TEST(CliValidation, LiveFlagValuesAreCheckedInSimAndChaos) {
+  const std::string sim =
+      "/tools/multipub-sim --pubs-per-region 1 --subs-per-region 1 --live ";
+  // A malformed --shards used to fall back to one shard in multipub-sim.
+  expect_cli(sim + "--shards abc", 2, "--shards expects an integer");
+  expect_cli(sim + "--quantize-ms 5", 2, "add --cohorts on");
+  expect_cli("/tools/multipub-chaos --seed 7 --shards 0", 2,
+             "--shards must be >= 1");
+  expect_cli("/tools/multipub-chaos --seed 7 --window-policy sometimes", 2,
+             "--window-policy must be 'fixed' or 'adaptive'");
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <optional>
+#include <string>
+
 namespace multipub::tools {
 namespace {
 
@@ -123,6 +128,35 @@ TEST(Flags, AllowOnlyReportsEveryUnknownFlagInNameOrder) {
   // Deterministic order (sorted by flag name), independent of argv order.
   EXPECT_NE(flags.errors()[0].find("--alpha"), std::string::npos);
   EXPECT_NE(flags.errors()[1].find("--zeta"), std::string::npos);
+}
+
+TEST(Flags, OnOffReadersAreStrict) {
+  Argv a({"--x", "off", "--y=on", "--z", "maybe", "--bare", "--w=both"});
+  Flags flags(a.argc(), a.argv());
+  EXPECT_FALSE(flags.get_on_off("x", true));
+  EXPECT_TRUE(flags.get_on_off("y", false));
+  EXPECT_TRUE(flags.get_on_off("absent", true));
+  EXPECT_EQ(flags.get_on_off_both("y"), std::optional<bool>(true));
+  EXPECT_EQ(flags.get_on_off_both("w"), std::nullopt);
+  EXPECT_EQ(flags.get_on_off_both("absent"), std::nullopt);
+  EXPECT_TRUE(flags.errors().empty());
+  // Anything else — a bare boolean flag too — is an error and yields the
+  // fallback.
+  EXPECT_TRUE(flags.get_on_off("z", true));
+  EXPECT_FALSE(flags.get_on_off("bare", false));
+  EXPECT_EQ(flags.get_on_off_both("z"), std::nullopt);
+  EXPECT_EQ(flags.errors(),
+            (std::vector<std::string>{"--z must be 'on' or 'off'",
+                                      "--bare must be 'on' or 'off'",
+                                      "--z must be 'on', 'off' or 'both'"}));
+}
+
+TEST(Flags, ReadFileReturnsContentOrNothing) {
+  EXPECT_FALSE(read_file("/nonexistent/flags_test", "test").has_value());
+  const std::string path = ::testing::TempDir() + "flags_test_read_file.txt";
+  std::ofstream(path) << "rate 5\n";
+  EXPECT_EQ(read_file(path, "test"), std::optional<std::string>("rate 5\n"));
+  std::remove(path.c_str());
 }
 
 }  // namespace

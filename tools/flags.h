@@ -1,4 +1,4 @@
-// Minimal command-line flag parsing for the tools.
+// Minimal command-line flag parsing (and file input) for the tools.
 //
 // Supports --name=value and --name value forms plus boolean --name. No
 // external dependency; errors collect into a list the tool prints with its
@@ -9,12 +9,16 @@
 #pragma once
 
 #include <array>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <sstream>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace multipub::tools {
@@ -100,6 +104,29 @@ class Flags {
     return it->second != "false" && it->second != "0";
   }
 
+  /// Strict on|off flag: "on" is true, "off" false, absent the fallback.
+  /// Anything else (including a bare --name) records
+  /// "--name must be 'on' or 'off'" and yields the fallback.
+  [[nodiscard]] bool get_on_off(const std::string& name, bool fallback) {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return fallback;
+    if (it->second == "on") return true;
+    if (it->second == "off") return false;
+    error("--" + name + " must be 'on' or 'off'");
+    return fallback;
+  }
+
+  /// on|off|both flag: true, false, or nullopt for "both" (also when
+  /// absent). Anything else records "--name must be 'on', 'off' or 'both'".
+  [[nodiscard]] std::optional<bool> get_on_off_both(const std::string& name) {
+    const auto it = values_.find(name);
+    if (it == values_.end() || it->second == "both") return std::nullopt;
+    if (it->second == "on") return true;
+    if (it->second == "off") return false;
+    error("--" + name + " must be 'on', 'off' or 'both'");
+    return std::nullopt;
+  }
+
   /// "a:b:c" triple of doubles (sweep ranges).
   [[nodiscard]] std::optional<std::array<double, 3>> get_range(
       const std::string& name) {
@@ -121,8 +148,20 @@ class Flags {
     return out;
   }
 
+  /// Records a validation error the tool found itself.
+  void error(std::string message) { errors_.push_back(std::move(message)); }
+
   [[nodiscard]] const std::vector<std::string>& errors() const {
     return errors_;
+  }
+
+  /// Prints every recorded error to stderr as "error: ..." and returns
+  /// whether there was any.
+  [[nodiscard]] bool print_errors() const {
+    for (const auto& message : errors_) {
+      std::fprintf(stderr, "error: %s\n", message.c_str());
+    }
+    return !errors_.empty();
   }
 
  private:
@@ -130,5 +169,20 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> errors_;
 };
+
+/// The whole content of the `what` file at `path` (e.g. what = "scenario").
+/// When it cannot be opened, prints "cannot open <what> file '<path>'" to
+/// stderr and returns nullopt.
+[[nodiscard]] inline std::optional<std::string> read_file(
+    const std::string& path, const char* what) {
+  std::ifstream file(path);
+  if (!file) {
+    std::fprintf(stderr, "cannot open %s file '%s'\n", what, path.c_str());
+    return std::nullopt;
+  }
+  std::ostringstream content;
+  content << file.rdbuf();
+  return content.str();
+}
 
 }  // namespace multipub::tools

@@ -14,15 +14,13 @@
 //   multipub-chaos --schedule plan.txt --seed 7
 //   multipub-chaos --seed 7 --break-outage-exclusion   # must FAIL
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
-#include "net/shard_placement.h"
 #include "sim/chaos.h"
 #include "sim/scenario.h"
 #include "sim/scenario_file.h"
 #include "flags.h"
+#include "live_flags.h"
 
 using namespace multipub;
 
@@ -115,77 +113,31 @@ int main(int argc, char** argv) {
   options.break_outage_exclusion =
       flags.get_bool("break-outage-exclusion", false);
   options.freeze_control_plane = flags.get_bool("freeze-control-plane", false);
-  const std::string incremental = flags.get("incremental", "on");
-  if (incremental != "on" && incremental != "off") {
-    std::fprintf(stderr, "--incremental must be 'on' or 'off'\n");
-    return 2;
-  }
-  options.incremental = incremental == "on";
-  const std::string reliable = flags.get("reliable", "off");
-  if (reliable != "on" && reliable != "off") {
-    std::fprintf(stderr, "--reliable must be 'on' or 'off'\n");
-    return 2;
-  }
-  options.reliable = reliable == "on";
+  // The scenario (generated or from a file) lives on the EC2-2016 catalog.
+  const geo::RegionCatalog catalog = geo::RegionCatalog::ec2_2016();
+  options.live = tools::read_live_options(flags, catalog.size());
   options.break_replay = flags.get_bool("break-replay", false);
   options.break_dedup = flags.get_bool("break-dedup", false);
   options.break_state_sync = flags.get_bool("break-state-sync", false);
   if ((options.break_replay || options.break_dedup ||
        options.break_state_sync) &&
-      !options.reliable) {
-    std::fprintf(stderr,
-                 "--break-replay / --break-dedup / --break-state-sync need "
-                 "--reliable on: they sabotage the reliability layer\n");
-    return 2;
+      !options.live.reliable) {
+    flags.error(
+        "--break-replay / --break-dedup / --break-state-sync need "
+        "--reliable on: they sabotage the reliability layer");
   }
-  const long shards = flags.get_int("shards", 1);
-  if (shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
-  }
-  options.shards = static_cast<std::uint32_t>(shards);
-  const std::string placement_name = flags.get("shard-placement", "topology");
-  const auto placement = net::parse_shard_placement(placement_name);
-  if (!placement) {
-    std::fprintf(stderr,
-                 "--shard-placement must be 'round-robin' or 'topology'\n");
-    return 2;
-  }
-  options.placement = *placement;
-  const std::string policy_name = flags.get("window-policy", "adaptive");
-  if (policy_name != "fixed" && policy_name != "adaptive") {
-    std::fprintf(stderr, "--window-policy must be 'fixed' or 'adaptive'\n");
-    return 2;
-  }
-  options.window_policy = policy_name == "fixed" ? net::WindowPolicy::kFixed
-                                                 : net::WindowPolicy::kAdaptive;
-  if (options.rounds < 1) {
-    std::fprintf(stderr, "--rounds must be >= 1\n");
-    return 2;
-  }
-
-  if (!flags.errors().empty()) {
-    for (const auto& error : flags.errors()) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-    }
-    return 2;
-  }
+  if (options.rounds < 1) flags.error("--rounds must be >= 1");
+  if (flags.print_errors()) return 2;
 
   // --- Scenario ---
-  const geo::RegionCatalog catalog = geo::RegionCatalog::ec2_2016();
   const geo::InterRegionLatency backbone = geo::InterRegionLatency::ec2_2016();
   sim::Scenario scenario;
   if (flags.has("scenario")) {
     const std::string path = flags.get("scenario", "");
-    std::ifstream file(path);
-    if (!file) {
-      std::fprintf(stderr, "cannot open scenario file '%s'\n", path.c_str());
-      return 2;
-    }
-    std::ostringstream content;
-    content << file.rdbuf();
+    const auto content = tools::read_file(path, "scenario");
+    if (!content) return 2;
     std::string parse_error;
-    const auto spec = sim::parse_scenario_spec(content.str(), &parse_error);
+    const auto spec = sim::parse_scenario_spec(*content, &parse_error);
     if (!spec) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(), parse_error.c_str());
       return 2;
@@ -210,30 +162,14 @@ int main(int argc, char** argv) {
                                   workload, scenario_rng);
   }
 
-  // Empty shards would still pay every barrier round; the placement cannot
-  // split R regions over more than R workers.
-  if (options.shards > scenario.catalog.size()) {
-    std::fprintf(stderr,
-                 "--shards %u exceeds the world's %zu regions; shards must "
-                 "be <= regions\n",
-                 options.shards, scenario.catalog.size());
-    return 2;
-  }
-
   // --- Schedule ---
   sim::FaultSchedule schedule;
   if (flags.has("schedule")) {
     const std::string path = flags.get("schedule", "");
-    std::ifstream file(path);
-    if (!file) {
-      std::fprintf(stderr, "cannot open schedule file '%s'\n", path.c_str());
-      return 2;
-    }
-    std::ostringstream content;
-    content << file.rdbuf();
+    const auto content = tools::read_file(path, "schedule");
+    if (!content) return 2;
     std::string parse_error;
-    const auto parsed =
-        sim::parse_fault_schedule(content.str(), &parse_error);
+    const auto parsed = sim::parse_fault_schedule(*content, &parse_error);
     if (!parsed) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(), parse_error.c_str());
       return 2;

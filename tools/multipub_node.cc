@@ -16,7 +16,6 @@
 // lock-step phase machine of node/protocol.h.
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "node/broker_node.h"
@@ -79,46 +78,19 @@ int main(int argc, char** argv) {
   const double deadline_ms = flags.get_double("deadline-ms", 120000.0);
   const double time_scale = flags.get_double("time-scale", 1.0);
   const long controller_port = flags.get_int("controller-port", 0);
-
-  if (!flags.errors().empty()) {
-    for (const auto& error : flags.errors()) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-    }
-    return 2;
-  }
+  const bool reliable = flags.get_on_off("reliable", false);
+  const bool batching = flags.get_on_off("transport-batching", true);
   if (role != "controller" && role != "broker") {
-    std::fprintf(stderr, "--role must be 'controller' or 'broker'\n");
-    return 2;
+    flags.error("--role must be 'controller' or 'broker'");
   }
-  if (scenario_path.empty()) {
-    std::fprintf(stderr, "--scenario is required\n");
-    return 2;
-  }
-  if (time_scale <= 0.0) {
-    std::fprintf(stderr, "--time-scale must be > 0\n");
-    return 2;
-  }
-  const std::string reliable = flags.get("reliable", "off");
-  if (reliable != "on" && reliable != "off") {
-    std::fprintf(stderr, "--reliable must be 'on' or 'off'\n");
-    return 2;
-  }
-  const std::string batching = flags.get("transport-batching", "on");
-  if (batching != "on" && batching != "off") {
-    std::fprintf(stderr, "--transport-batching must be 'on' or 'off'\n");
-    return 2;
-  }
+  if (scenario_path.empty()) flags.error("--scenario is required");
+  if (time_scale <= 0.0) flags.error("--time-scale must be > 0");
+  if (flags.print_errors()) return 2;
 
-  std::ifstream file(scenario_path);
-  if (!file) {
-    std::fprintf(stderr, "cannot open scenario file '%s'\n",
-                 scenario_path.c_str());
-    return 1;
-  }
-  std::ostringstream content;
-  content << file.rdbuf();
+  const auto content = tools::read_file(scenario_path, "scenario");
+  if (!content) return 1;
   std::string error;
-  auto spec = sim::parse_scenario_spec(content.str(), &error);
+  auto spec = sim::parse_scenario_spec(*content, &error);
   if (!spec) {
     std::fprintf(stderr, "%s: %s\n", scenario_path.c_str(), error.c_str());
     return 1;
@@ -137,7 +109,7 @@ int main(int argc, char** argv) {
     options.listen_port = static_cast<std::uint16_t>(listen);
     options.metrics_path = flags.get("metrics-out", "");
     options.seed = spec->seed;
-    options.transport_batching = batching == "on";
+    options.transport_batching = batching;
     node::ControllerNode controller(*scenario, options);
     if (!controller.start()) {
       std::fprintf(stderr, "cannot listen on port %ld\n", listen);
@@ -165,21 +137,20 @@ int main(int argc, char** argv) {
   const std::string region_name = flags.get("region", "");
   const RegionId region = scenario->catalog.find(region_name);
   if (!region.valid()) {
-    std::fprintf(stderr, "--region '%s' is not one of the scenario's "
-                 "placement regions\n", region_name.c_str());
-    return 2;
+    flags.error("--region '" + region_name +
+                "' is not one of the scenario's placement regions");
   }
   if (controller_port <= 0) {
-    std::fprintf(stderr, "--controller-port is required for brokers\n");
-    return 2;
+    flags.error("--controller-port is required for brokers");
   }
+  if (flags.print_errors()) return 2;
   node::BrokerNodeOptions options;
   options.listen_port = static_cast<std::uint16_t>(listen);
   options.controller_port = static_cast<std::uint16_t>(controller_port);
   options.metrics_path = flags.get("metrics-out", "");
   options.time_scale = time_scale;
-  options.reliable = reliable == "on";
-  options.transport_batching = batching == "on";
+  options.reliable = reliable;
+  options.transport_batching = batching;
   node::BrokerNode broker(*scenario, region, options);
   if (!broker.start()) {
     std::fprintf(stderr, "cannot listen on port %ld\n", listen);

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "sim/scenario_file.h"
 #include "sim/sweep.h"
 #include "flags.h"
+#include "live_flags.h"
 
 using namespace multipub;
 
@@ -105,12 +105,6 @@ Validation:
 )");
 }
 
-struct Placement {
-  std::string region;
-  long pubs = 0;
-  long subs = 0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -178,32 +172,23 @@ int main(int argc, char** argv) {
     const std::string spec = flags.get("placement", "");
     const auto c1 = spec.find(':');
     const auto c2 = spec.find(':', c1 + 1);
-    if (c1 == std::string::npos || c2 == std::string::npos) {
-      std::fprintf(stderr, "bad --placement '%s' (want R:P:S)\n",
-                   spec.c_str());
-      return 1;
-    }
     const RegionId region = catalog.find(spec.substr(0, c1));
-    if (!region.valid()) {
-      std::fprintf(stderr, "unknown region '%s'\n",
-                   spec.substr(0, c1).c_str());
-      return 1;
+    if (c1 == std::string::npos || c2 == std::string::npos) {
+      flags.error("bad --placement '" + spec + "' (want R:P:S)");
+    } else if (!region.valid()) {
+      flags.error("unknown region '" + spec.substr(0, c1) + "'");
+    } else {
+      const auto count = [&](std::size_t from, std::size_t len) {
+        return static_cast<std::size_t>(
+            std::strtol(spec.substr(from, len).c_str(), nullptr, 10));
+      };
+      placements.push_back({region, count(c1 + 1, c2 - c1 - 1),
+                            count(c2 + 1, std::string::npos)});
     }
-    placements.push_back(
-        {region,
-         static_cast<std::size_t>(
-             std::strtol(spec.substr(c1 + 1, c2 - c1 - 1).c_str(), nullptr, 10)),
-         static_cast<std::size_t>(
-             std::strtol(spec.substr(c2 + 1).c_str(), nullptr, 10))});
   }
   // Flag errors (unknown flags, malformed numbers) first: a typo must not
   // be masked by the missing-workload hint below.
-  if (!flags.errors().empty()) {
-    for (const auto& error : flags.errors()) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-    }
-    return 1;
-  }
+  if (flags.print_errors()) return 1;
 
   if (placements.empty() && !flags.has("scenario")) {
     std::fprintf(stderr,
@@ -216,15 +201,10 @@ int main(int argc, char** argv) {
   sim::Scenario scenario;
   if (flags.has("scenario")) {
     const std::string path = flags.get("scenario", "");
-    std::ifstream file(path);
-    if (!file) {
-      std::fprintf(stderr, "cannot open scenario file '%s'\n", path.c_str());
-      return 1;
-    }
-    std::ostringstream content;
-    content << file.rdbuf();
+    const auto content = tools::read_file(path, "scenario");
+    if (!content) return 1;
     std::string parse_error;
-    const auto spec = sim::parse_scenario_spec(content.str(), &parse_error);
+    const auto spec = sim::parse_scenario_spec(*content, &parse_error);
     if (!spec) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(), parse_error.c_str());
       return 1;
@@ -238,44 +218,17 @@ int main(int argc, char** argv) {
     scenario = *built;
     workload = spec->workload;  // the file's knobs drive live validation too
   } else {
-  scenario.catalog = catalog;
-  scenario.backbone = backbone;
-  scenario.interval_seconds = workload.interval_seconds;
-  scenario.population.latencies = geo::ClientLatencyMap(catalog.size());
-  {
-    std::vector<ClientId> pub_ids, sub_ids;
-    for (const auto& place : placements) {
-      auto local = geo::synthesize_local_population(
-          catalog, backbone, place.region, place.publishers + place.subscribers,
-          {}, rng);
-      for (std::size_t i = 0; i < local.size(); ++i) {
-        const ClientId id = scenario.population.latencies.add_client(
-            local.latencies.row(ClientId{static_cast<int>(i)}));
-        scenario.population.home_region.push_back(place.region);
-        (i < place.publishers ? pub_ids : sub_ids).push_back(id);
-      }
-    }
-    scenario.topic.topic = TopicId{0};
-    scenario.topic.constraint = {workload.ratio, workload.max_t};
-    scenario.topic.publishers = core::uniform_publishers(
-        pub_ids, sim::messages_per_interval(workload), workload.message_bytes);
-    scenario.topic.subscribers = core::unit_subscribers(sub_ids);
-  }
+    scenario = sim::make_scenario(catalog, backbone, placements, workload, rng);
   }
 
   // Measured matrices override the synthetic ones (client rows by file
   // order; row count must cover the scenario's clients).
   if (flags.has("latencies")) {
     const std::string path = flags.get("latencies", "");
-    std::ifstream file(path);
-    if (!file) {
-      std::fprintf(stderr, "cannot open latency file '%s'\n", path.c_str());
-      return 1;
-    }
-    std::ostringstream content;
-    content << file.rdbuf();
+    const auto content = tools::read_file(path, "latency");
+    if (!content) return 1;
     std::string parse_error;
-    const auto parsed = geo::parse_latencies(content.str(), &parse_error);
+    const auto parsed = geo::parse_latencies(*content, &parse_error);
     if (!parsed) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(), parse_error.c_str());
       return 1;
@@ -328,76 +281,21 @@ int main(int argc, char** argv) {
   if (flags.get_bool("exact-list", false)) {
     options.strategy = core::EvaluationStrategy::kExactList;
   }
-  const std::string incremental = flags.get("incremental", "on");
-  if (incremental != "on" && incremental != "off") {
-    std::fprintf(stderr, "--incremental must be 'on' or 'off'\n");
-    return 2;
-  }
-  const long shards = flags.get_int("shards", 0);
-  if (flags.has("shards") && shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
-  }
-  // Empty shards would still pay every barrier round; the placement cannot
-  // split R regions over more than R workers.
-  if (shards > static_cast<long>(scenario.catalog.size())) {
-    std::fprintf(stderr,
-                 "--shards %ld exceeds the world's %zu regions; shards must "
-                 "be <= regions\n",
-                 shards, scenario.catalog.size());
-    return 2;
-  }
-  const std::string placement_name = flags.get("shard-placement", "topology");
-  const auto shard_placement = net::parse_shard_placement(placement_name);
-  if (!shard_placement) {
-    std::fprintf(stderr,
-                 "--shard-placement must be 'round-robin' or 'topology'\n");
-    return 2;
-  }
-  const std::string policy_name = flags.get("window-policy", "adaptive");
-  if (policy_name != "fixed" && policy_name != "adaptive") {
-    std::fprintf(stderr, "--window-policy must be 'fixed' or 'adaptive'\n");
-    return 2;
-  }
-  const net::WindowPolicy window_policy =
-      policy_name == "fixed" ? net::WindowPolicy::kFixed
-                             : net::WindowPolicy::kAdaptive;
-  const std::string cohorts = flags.get("cohorts", "off");
-  if (cohorts != "on" && cohorts != "off") {
-    std::fprintf(stderr, "--cohorts must be 'on' or 'off'\n");
-    return 2;
-  }
-  const double quantize_ms = flags.get_double("quantize-ms", 0.0);
-  if (flags.has("quantize-ms") && quantize_ms < 0.0) {
-    std::fprintf(stderr, "--quantize-ms must be >= 0\n");
-    return 2;
-  }
-  if (flags.has("quantize-ms") && cohorts != "on") {
-    std::fprintf(stderr,
-                 "--quantize-ms only applies to the cohort plane: add "
-                 "--cohorts on\n");
-    return 2;
-  }
+  const sim::LiveOptions live_options =
+      tools::read_live_options(flags, scenario.catalog.size());
   const long clients_target = flags.get_int("clients", 0);
   if (flags.has("clients") && clients_target < 1) {
-    std::fprintf(stderr, "--clients must be >= 1\n");
-    return 2;
+    flags.error("--clients must be >= 1");
   }
-  const std::string reliable = flags.get("reliable", "off");
-  if (reliable != "on" && reliable != "off") {
-    std::fprintf(stderr, "--reliable must be 'on' or 'off'\n");
-    return 2;
-  }
-  if ((shards > 1 || flags.has("cohorts") ||
+  if ((live_options.shards > 1 || flags.has("cohorts") ||
        flags.has("clients") || flags.has("shard-placement") ||
        flags.has("window-policy") || flags.has("reliable")) &&
       !flags.get_bool("live", false)) {
-    std::fprintf(stderr,
-                 "--shards/--shard-placement/--window-policy/--cohorts/"
-                 "--clients/--reliable only apply to "
-                 "the live middleware: add --live\n");
-    return 2;
+    flags.error(
+        "--shards/--shard-placement/--window-policy/--cohorts/--clients/"
+        "--reliable only apply to the live middleware: add --live");
   }
+  if (flags.print_errors()) return 2;
 
   const char* world_label = synthetic_regions > 0 ? "synthetic"
                             : flags.get_bool("modern-aws", false)
@@ -510,13 +408,7 @@ int main(int argc, char** argv) {
         scenario.topic.subscribers.push_back(clone);
       }
     }
-    sim::LiveSystem live(scenario);
-    live.set_incremental(incremental == "on");
-    if (cohorts == "on") live.set_cohorts(true, quantize_ms);
-    live.set_shard_placement(*shard_placement);
-    live.set_window_policy(window_policy);
-    if (shards > 0) live.set_shards(static_cast<std::uint32_t>(shards));
-    if (reliable == "on") live.set_reliable(true);
+    sim::LiveSystem live(scenario, live_options);
     live.deploy(chosen);
     const auto run = live.run_interval(workload.interval_seconds,
                                        workload.message_bytes,
@@ -528,17 +420,17 @@ int main(int argc, char** argv) {
     std::printf(
         "  control   : %s pipeline, %zu tracked, %zu dirty, %zu optimized, "
         "%zu carried\n",
-        incremental == "on" ? "incremental" : "full-scan", round.tracked,
+        live_options.incremental ? "incremental" : "full-scan", round.tracked,
         round.dirty, round.evaluated, round.skipped_clean);
-    if (cohorts == "on") {
+    if (live_options.cohorts) {
       std::printf(
           "  data plane: %u shard(s), %zu subscribers in %zu cohort(s) "
           "(%.0fms buckets)\n",
-          live.shards(), scenario.topic.subscribers.size(),
-          live.cohort_pool()->cohort_count(), quantize_ms);
+          live_options.shards, scenario.topic.subscribers.size(),
+          live.cohort_pool()->cohort_count(), live_options.row_bucket_ms);
     } else {
       std::printf("  data plane: %u shard(s), per-client subscribers\n",
-                  live.shards());
+                  live_options.shards);
     }
     std::printf("  measured  : p=%.1fms  $%.2f/day  (%llu deliveries)\n",
                 run.percentile, run.cost_per_day,
@@ -552,7 +444,7 @@ int main(int argc, char** argv) {
     if (flags.get_bool("metrics", false)) {
       std::printf("\nmetrics snapshot:\n%s",
                   sim::collect_metrics(live).render().c_str());
-      if (live.shards() > 1) {
+      if (live_options.shards > 1) {
         std::printf("\nwindow telemetry (engine-level, varies with "
                     "tuning):\n%s",
                     sim::collect_window_metrics(live).render().c_str());
