@@ -2,21 +2,19 @@
 // ("fast") and the sharded parallel plane (DESIGN.md §11/§14) at 2, 4 and 8
 // worker threads.
 //
-// One synthetic world (40 regions by default — wide enough that topology
-// placement has real clusters to find at K=8 — 10k clients), 500 routed
+// One synthetic world (40 regions by default, 10k clients), 500 routed
 // topics each served by 3 regions with 50 subscribers, publishers driven by
 // self-rescheduling simulator actions hinted at their owning shard. The
 // same workload runs once per engine configuration, freshly constructed
 // from identical seeds, and the bench reports events/sec per configuration
 // plus the speedups over the fast row and the sharded plane's window
-// telemetry (windows per simulated second is the hardware-independent
-// progress metric: fewer windows means less synchronization for the same
-// events, provable even on a 1-core container). The sharded rows run under
-// the flag-selected placement/window policy (topology + adaptive by
-// default); one extra 8-shard row always re-runs the PR 5 recipe
-// (round-robin + fixed) as the window-count baseline. Prints a table and
-// writes BENCH_dataplane.json in the shared {"bench", "rows"} shape with
-// one row per configuration.
+// telemetry. The sharded rows run LiveSystem's one tuning (round-robin
+// placement, fixed windows). Their hardware-independent figure is the
+// critical path: the sum over windows of the busiest shard's event count,
+// so events / critical_events (predicted_parallelism) bounds the speedup
+// K cores could reach, measurable even on a host with fewer cores. Prints
+// a table and writes BENCH_dataplane.json in the shared {"bench", "rows"}
+// shape with one row per configuration.
 //
 // Exit gates:
 //   - any counter (processed events, transport sent/dropped, broker
@@ -29,9 +27,8 @@
 //     fails on full-size runs on machines with >= 8 hardware threads (every
 //     bench row records hardware_concurrency, so a small CI box still
 //     publishes honest numbers without tripping a gate it cannot meet);
-//   - with the default placement/policy, windows-per-simulated-second at
-//     K=8 not dropping by >= 5x against the round-robin+fixed baseline
-//     fails on full-size runs (deterministic, hardware-independent).
+//   - K=8 predicted parallelism below 6 fails on full-size runs
+//     (deterministic, hardware-independent).
 //
 // With --cohorts on the subscriber side runs on the cohort-compressed
 // plane (DESIGN.md §12): clients fold into weighted cohorts keyed by (home,
@@ -41,11 +38,9 @@
 //
 // Usage: bench_dataplane [--pubs N] [--mode both|fast|shards=K]
 //                        [--clients N] [--regions N] [--cohorts on|off]
-//                        [--shard-placement round-robin|topology]
-//                        [--window-policy fixed|adaptive]
 // (default: 1M publications, 10k clients, 40 regions, per-client plane,
-// mode both, topology placement, adaptive windows; single-configuration
-// --mode values are for profiling and skip the comparison gates)
+// mode both; single-configuration --mode values are for profiling and skip
+// the comparison gates)
 #include <algorithm>
 #include <array>
 #include <charconv>
@@ -70,7 +65,6 @@
 #include "flags.h"
 #include "geo/king_synth.h"
 #include "geo/synthetic.h"
-#include "net/shard_placement.h"
 #include "net/simulator.h"
 #include "net/transport.h"
 #include "sim/live_runner.h"
@@ -116,13 +110,10 @@ struct RunResult {
 };
 
 /// One engine configuration under test. shards == 1 is the single-threaded
-/// plane; shards > 1 the parallel plane with that many worker threads under
-/// the given placement and window policy.
+/// plane; shards > 1 the parallel plane with that many worker threads.
 struct EngineConfig {
   const char* label;
   std::uint32_t shards;
-  net::ShardPlacement placement = net::ShardPlacement::kTopology;
-  net::WindowPolicy policy = net::WindowPolicy::kAdaptive;
 };
 
 /// Builds the identical world + workload and drives `total_pubs`
@@ -198,14 +189,10 @@ RunResult run_engine(const EngineConfig& engine, std::uint64_t total_pubs,
   }
 
   if (engine.shards > 1) {
-    // LiveSystem's recipe: regions placed by the engine's strategy, clients
-    // and flocks on their home region's shard, windows from the cross-shard
-    // lookahead matrix.
+    // LiveSystem's recipe: regions round-robin, clients and flocks on their
+    // home region's shard, fixed windows.
     sim::shard_data_plane(sim, transport, world.backbone,
-                          population.home_region, pool.get(),
-                          {.shards = engine.shards,
-                           .placement = engine.placement,
-                           .window_policy = engine.policy});
+                          population.home_region, pool.get(), engine.shards);
   }
 
   std::vector<std::unique_ptr<broker::Broker>> brokers;
@@ -309,6 +296,8 @@ RunResult run_engine(const EngineConfig& engine, std::uint64_t total_pubs,
   result.windows.barrier_parks =
       windows_after.barrier_parks - windows_before.barrier_parks;
   result.windows.events = windows_after.events - windows_before.events;
+  result.windows.critical_events =
+      windows_after.critical_events - windows_before.critical_events;
   result.sent = transport.sent_count();
   result.dropped = transport.dropped_count();
   for (const auto& b : brokers) {
@@ -347,15 +336,10 @@ int main(int argc, char** argv) {
         "  --clients N           total clients (default 10000)\n"
         "  --regions N           world size (default 40, 6..64)\n"
         "  --cohorts on|off      cohort-compressed subscriber plane\n"
-        "                        (default off)\n"
-        "  --shard-placement round-robin|topology  region partitioning for\n"
-        "                        the sharded rows (default topology)\n"
-        "  --window-policy fixed|adaptive  window sizing for the sharded\n"
-        "                        rows (default adaptive)\n");
+        "                        (default off)\n");
     return 0;
   }
-  flags.allow_only({"help", "pubs", "mode", "clients", "regions", "cohorts",
-                    "shard-placement", "window-policy"});
+  flags.allow_only({"help", "pubs", "mode", "clients", "regions", "cohorts"});
   const long pubs_flag = flags.get_int("pubs", 1000000);
   const long clients_flag =
       flags.get_int("clients", static_cast<long>(kDefaultClients));
@@ -363,18 +347,6 @@ int main(int argc, char** argv) {
       flags.get_int("regions", static_cast<long>(kDefaultRegions));
   const bool cohorts = flags.get_on_off("cohorts", false);
   const std::string mode = flags.get("mode", "both");
-  const std::string placement_name = flags.get("shard-placement", "topology");
-  const std::string policy_name = flags.get("window-policy", "adaptive");
-  const auto placement = net::parse_shard_placement(placement_name);
-  if (!placement.has_value()) {
-    flags.error("--shard-placement must be round-robin or topology, got '" +
-                placement_name + "'");
-  }
-  const auto policy_parsed = net::parse_window_policy(policy_name);
-  if (!policy_parsed.has_value()) {
-    flags.error("--window-policy must be fixed or adaptive, got '" +
-                policy_name + "'");
-  }
   // The serving-set construction needs 6 distinct offsets; synthesize_world
   // caps at kMaxRegions.
   if (regions_flag < 6 || regions_flag > static_cast<long>(kMaxRegions)) {
@@ -384,7 +356,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "see --help\n");
     return 2;
   }
-  const net::WindowPolicy policy = *policy_parsed;
   const auto total_pubs = static_cast<std::uint64_t>(pubs_flag);
   const auto n_clients = static_cast<std::size_t>(clients_flag);
   const auto n_regions = static_cast<std::size_t>(regions_flag);
@@ -392,7 +363,7 @@ int main(int argc, char** argv) {
       std::max<std::uint64_t>(1, total_pubs / kTopics) * kTopics;
   if (mode != "both") {
     // Profiling mode: one configuration, no comparison.
-    EngineConfig engine{"fast", 1, *placement, policy};
+    EngineConfig engine{"fast", 1};
     const std::string_view mode_view = mode;
     if (mode_view.substr(0, 7) == "shards=") {
       engine.label = "sharded";
@@ -426,32 +397,15 @@ int main(int argc, char** argv) {
 
   const unsigned hw_threads = std::thread::hardware_concurrency();
   std::printf("dataplane bench: %llu publications, %zu clients, %zu regions, "
-              "%zu routed topics, %u hardware threads, %s plane, %s "
-              "placement, %s windows\n",
+              "%zu routed topics, %u hardware threads, %s plane\n",
               static_cast<unsigned long long>(actual_pubs), n_clients,
               n_regions, kTopics, hw_threads,
-              cohorts ? "cohort" : "per-client",
-              net::shard_placement_name(*placement).c_str(),
-              net::window_policy_name(policy).c_str());
+              cohorts ? "cohort" : "per-client");
 
-  // The single-threaded fast row is the reference of both planes. The final
-  // row re-runs K=8 with the PR 5 recipe (round-robin + fixed windows) as
-  // the window-count baseline — unless the flags already selected exactly
-  // that configuration.
-  const bool tuned_is_baseline =
-      *placement == net::ShardPlacement::kRoundRobin &&
-      policy == net::WindowPolicy::kFixed;
-  std::vector<EngineConfig> engines;
-  engines.push_back({"fast", 1});
-  engines.push_back({"sharded", 2, *placement, policy});
-  engines.push_back({"sharded", 4, *placement, policy});
-  engines.push_back({"sharded", 8, *placement, policy});
-  const std::size_t tuned8_index = engines.size() - 1;
-  if (!tuned_is_baseline) {
-    engines.push_back({"sharded", 8, net::ShardPlacement::kRoundRobin,
-                       net::WindowPolicy::kFixed});
-  }
-  const std::size_t baseline8_index = engines.size() - 1;
+  // The single-threaded fast row is the reference of both planes; the last
+  // row is K=8, which the gates read.
+  const std::vector<EngineConfig> engines{
+      {"fast", 1}, {"sharded", 2}, {"sharded", 4}, {"sharded", 8}};
   // Each configuration runs in a child process of its own, so every row's
   // peak_rss_bytes is that configuration's footprint alone.
   std::vector<bench::ChildRun<RunResult>> results;
@@ -469,8 +423,8 @@ int main(int argc, char** argv) {
   const RunResult& fast = results[0].result;
 
   bench::BenchReport report("dataplane");
-  std::printf("%-8s %8s %12s %11s %7s %14s %10s %16s %8s\n", "engine",
-              "threads", "placement", "policy", "windows", "win_per_sim_s",
+  std::printf("%-8s %8s %8s %14s %10s %9s %10s %16s %8s\n", "engine",
+              "threads", "windows", "win_per_sim_s", "critical", "pred_par",
               "seconds", "events_per_sec", "vs_fast");
   bool all_identical = true;
   bool windows_missing = false;
@@ -486,23 +440,17 @@ int main(int argc, char** argv) {
                                ? r.events_per_sec() / fast.events_per_sec()
                                : 0.0;
     const std::uint32_t threads = engine.shards;
-    const bool sharded = engine.shards > 1;
-    const std::string placement_label =
-        sharded ? net::shard_placement_name(engine.placement) : "";
-    const std::string policy_label =
-        sharded ? net::window_policy_name(engine.policy) : "";
-    std::printf("%-8s %8u %12s %11s %7llu %14.1f %10.3f %16.0f %7.2fx%s\n",
+    std::printf("%-8s %8u %8llu %14.1f %10llu %9.3f %10.3f %16.0f %7.2fx%s\n",
                 engine.label, threads,
-                sharded ? placement_label.c_str() : "-",
-                sharded ? policy_label.c_str() : "-",
                 static_cast<unsigned long long>(r.windows.windows),
-                r.windows_per_sim_sec(), r.seconds, r.events_per_sec(),
-                vs_fast, identical ? "" : "  COUNTERS DIVERGED");
+                r.windows_per_sim_sec(),
+                static_cast<unsigned long long>(r.windows.critical_events),
+                r.windows.predicted_parallelism(), r.seconds,
+                r.events_per_sec(), vs_fast,
+                identical ? "" : "  COUNTERS DIVERGED");
     report.row(results[i].peak_rss_bytes)
         .str("engine", engine.label)
         .uinteger("threads", threads)
-        .str("placement", placement_label)
-        .str("window_policy", policy_label)
         .uinteger("publications", actual_pubs)
         .uinteger("clients", n_clients)
         .boolean("cohorts", cohorts)
@@ -520,22 +468,19 @@ int main(int argc, char** argv) {
         .num("window_width_max_ms", r.windows.width_max)
         .num("events_per_window", r.windows.events_per_window())
         .uinteger("mail_items", r.windows.mail_items)
+        .uinteger("critical_events", r.windows.critical_events)
+        .num("predicted_parallelism", r.windows.predicted_parallelism())
         .uinteger("barrier_spins", r.windows.barrier_spins)
         .uinteger("barrier_parks", r.windows.barrier_parks);
   }
-  const RunResult& tuned8 = results[tuned8_index].result;
-  const RunResult& baseline8 = results[baseline8_index].result;
-  const double shard8_speedup = tuned8.events_per_sec() / fast.events_per_sec();
-  // Window reduction: how many times fewer synchronization rounds the tuned
-  // configuration pays per simulated second than the PR 5 recipe. Both
-  // counts are deterministic, so this ratio is hardware-independent.
-  const double window_reduction =
-      tuned8.windows_per_sim_sec() > 0.0
-          ? baseline8.windows_per_sim_sec() / tuned8.windows_per_sim_sec()
-          : 0.0;
-  std::printf("8-thread sharded vs fast %.2fx, window reduction %.2fx, "
+  const RunResult& shard8 = results.back().result;
+  const double shard8_speedup = shard8.events_per_sec() / fast.events_per_sec();
+  // Deterministic (window ends depend only on virtual time), so this bound
+  // is the same on every host.
+  const double shard8_predicted = shard8.windows.predicted_parallelism();
+  std::printf("8-thread sharded vs fast %.2fx, predicted parallelism %.2f, "
               "counters %s\n",
-              shard8_speedup, window_reduction,
+              shard8_speedup, shard8_predicted,
               all_identical ? "identical" : "DIVERGED");
 
   if (!report.write()) return 1;
@@ -558,14 +503,11 @@ int main(int argc, char** argv) {
                  shard8_speedup);
     return 1;
   }
-  // Deterministic window-count gate (full size, default tuning only): the
-  // adaptive+topology plane must pay >= 5x fewer synchronization rounds per
-  // simulated second than the PR 5 recipe at K=8.
-  if (actual_pubs >= 1000000 && !tuned_is_baseline &&
-      *placement == net::ShardPlacement::kTopology &&
-      policy == net::WindowPolicy::kAdaptive && window_reduction < 5.0) {
-    std::fprintf(stderr, "window reduction below 5x (%.2fx)\n",
-                 window_reduction);
+  // Deterministic critical-path gate, armed on any host: at K=8 the
+  // busiest shard of each window must leave at least 6-way parallelism.
+  if (actual_pubs >= 1000000 && shard8_predicted < 6.0) {
+    std::fprintf(stderr, "8-thread predicted parallelism below 6 (%.2f)\n",
+                 shard8_predicted);
     return 1;
   }
   return 0;

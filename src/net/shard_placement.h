@@ -1,14 +1,18 @@
-// Region-to-shard placement strategies and window policies for the
-// sharded data plane.
+// Region-to-shard placement and window policies for the sharded data
+// plane.
 //
-// The conservative window of the parallel simulator (DESIGN.md §11) is as
-// wide as the minimum CROSS-shard link latency, so where regions land
-// directly bounds how often the shards must synchronize. Round-robin —
-// the PR 5 recipe — scatters neighbouring regions across shards and pins
-// the window to the globally closest region pair. The topology strategy
-// instead clusters nearby regions onto the same shard, cutting only the
-// widest links: for the same K it maximizes the minimum cross-shard
-// backbone latency, which widens every legal window (see DESIGN.md §14).
+// Every sharded path the repository chooses (LiveSystem, shard_data_plane,
+// the CLIs and bench_dataplane) runs round-robin placement with fixed
+// windows. The conservative window of the parallel simulator (DESIGN.md
+// §11) is as wide as the minimum CROSS-shard link latency; round-robin pins
+// it to the globally closest region pair, but it spreads the events evenly,
+// and the critical path (WindowStats::critical_events) shows that balance,
+// not window width, bounds the parallel speedup (DESIGN.md §14).
+//
+// kTopology (single-linkage clustering that maximizes the minimum
+// cross-shard latency) and WindowPolicy::kAdaptive remain only because
+// perfbench's twin-sharded workload names them. They are pending deletion
+// once that workload switches to round-robin with fixed windows.
 //
 // Placement never changes observables: shard assignment only decides which
 // worker executes an event, and the sharded plane is bit-identical for any
@@ -16,9 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -27,27 +28,16 @@
 namespace multipub::net {
 
 enum class ShardPlacement : std::uint8_t {
-  kRoundRobin,  ///< region r -> shard r % K (the PR 5 recipe)
-  kTopology,    ///< single-linkage clustering over the backbone matrix
+  kRoundRobin,  ///< region r -> shard r % K (the one sharded tuning)
+  kTopology,    ///< single-linkage clustering; perfbench only, see above
 };
 
 /// How the sharded plane sizes its conservative windows. Like placement,
 /// the policy never changes observables.
 enum class WindowPolicy : std::uint8_t {
-  kFixed,     ///< every window is `lookahead` wide (the reference pacing)
-  kAdaptive,  ///< per-shard ends from the busy-shard horizon (DESIGN.md §14)
+  kFixed,     ///< every window is `lookahead` wide (the one sharded tuning)
+  kAdaptive,  ///< per-shard ends from the busy-shard horizon; perfbench only
 };
-
-/// Flag spelling <-> enum ("round-robin" | "topology"); nullopt on anything
-/// else.
-[[nodiscard]] std::optional<ShardPlacement> parse_shard_placement(
-    std::string_view name);
-[[nodiscard]] std::string shard_placement_name(ShardPlacement placement);
-
-/// Flag spelling <-> enum ("fixed" | "adaptive"); nullopt on anything else.
-[[nodiscard]] std::optional<WindowPolicy> parse_window_policy(
-    std::string_view name);
-[[nodiscard]] std::string window_policy_name(WindowPolicy policy);
 
 /// Region -> shard assignment for `shards` shards under `placement`.
 ///

@@ -335,11 +335,13 @@ void Simulator::configure_shards(ShardMap map, Millis lookahead) {
   dist_.clear();
   window_end_.assign(k, 0.0);
   next_times_.assign(k, 0.0);
+  window_base_.assign(k, 0);
   sync_.assign(k, ShardSync{});
   windows_ = 0;
   width_sum_ = 0.0;
   width_max_ = 0.0;
   mail_items_ = 0;
+  critical_events_ = 0;
   // No workers exist here (shutdown_workers above), so plain stores suffice;
   // thread creation below publishes everything to the new workers.
   epoch_.store(0, std::memory_order_relaxed);
@@ -410,6 +412,7 @@ WindowStats Simulator::window_stats() const {
   stats.width_sum = width_sum_;
   stats.width_max = width_max_;
   stats.mail_items = mail_items_;
+  stats.critical_events = critical_events_;
   // sync_ slots are single-writer; the kEndRun ack barrier ordered every
   // worker's in-run counter writes before this (between-runs) read.
   for (const ShardSync& sync : sync_) {
@@ -578,6 +581,7 @@ void Simulator::plan_round() {
   for (std::size_t i = 0; i < k; ++i) {
     next_times_[i] = stores_[i]->next_time();
     t_min = std::min(t_min, next_times_[i]);
+    window_base_[i] = stores_[i]->processed;
   }
   if (!(t_min < limit_)) {
     command_ = Command::kEndRun;
@@ -625,6 +629,13 @@ void Simulator::plan_round() {
 
 void Simulator::serial_phase() {
   if (command_ != Command::kRunWindow) return;  // kEndRun ack: nothing to do
+  // The round's critical path: its busiest shard's dispatch count, read off
+  // the stores' counters, so the shards' dispatch loops pay nothing for it.
+  std::uint64_t busiest = 0;
+  for (std::size_t i = 0; i < stores_.size(); ++i) {
+    busiest = std::max(busiest, stores_[i]->processed - window_base_[i]);
+  }
+  critical_events_ += busiest;
   drain_all_inboxes();
   plan_round();
 }

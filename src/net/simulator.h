@@ -30,13 +30,15 @@
 // barrier in fixed source-shard order, which makes the interleaving — and
 // with it every observable — bit-identical to the single-threaded run.
 //
-// Window policy (DESIGN.md §14): kFixed sizes every window by the single
-// scalar lookahead; kAdaptive gives each shard its own window end derived
-// from which shards actually hold work — E_d = min over busy shards A of
+// Window policy (DESIGN.md §14): kFixed, the default and the only policy
+// the repository's own paths run, sizes every window by the single scalar
+// lookahead. kAdaptive gives each shard its own window end derived from
+// which shards actually hold work — E_d = min over busy shards A of
 // (t_A + dist[A][d]), where dist is the shortest-walk matrix over the
-// per-(source, destination) lookahead graph. Idle shards impose no bound,
-// so quiet stretches collapse into a handful of wide windows while dense
-// phases degenerate to exactly the fixed pacing. Both policies execute the
+// per-(source, destination) lookahead graph. It stays only because
+// perfbench's twin-sharded workload selects it, and is pending deletion:
+// the measured critical path (WindowStats::critical_events) shows it never
+// shortens the parallel bound measurably. Both policies execute the
 // identical event sequence — windows only batch, never reorder.
 //
 // Synchronization is one purpose-built sense-reversing barrier round per
@@ -121,6 +123,11 @@ struct WindowStats {
   std::uint64_t barrier_spins = 0;  ///< waits resolved while spinning
   std::uint64_t barrier_parks = 0;  ///< waits that parked on the futex
   std::uint64_t events = 0;         ///< events dispatched by the shard stores
+  /// Sum over windows of the largest per-shard event count: the events a
+  /// K-core run must execute one after another. A pure function of the
+  /// schedule (window ends depend only on virtual time), so events /
+  /// critical_events bounds the speedup at K cores on any host.
+  std::uint64_t critical_events = 0;
 
   [[nodiscard]] Millis width_mean() const {
     return windows > 0 ? width_sum / static_cast<double>(windows) : 0.0;
@@ -129,6 +136,12 @@ struct WindowStats {
     return windows > 0
                ? static_cast<double>(events) / static_cast<double>(windows)
                : 0.0;
+  }
+  /// events / critical_events; 0 before any window ran.
+  [[nodiscard]] double predicted_parallelism() const {
+    return critical_events > 0 ? static_cast<double>(events) /
+                                     static_cast<double>(critical_events)
+                               : 0.0;
   }
 };
 
@@ -234,17 +247,20 @@ class Simulator : public Clock {
   [[nodiscard]] Millis lookahead() const { return lookahead_; }
 
   /// Selects how windows are sized (kFixed by default). kAdaptive requires a
-  /// lookahead matrix (set_lookahead_matrix). Only between runs.
+  /// lookahead matrix (set_lookahead_matrix); only perfbench's twin-sharded
+  /// workload selects it (pending deletion, DESIGN.md §14). Only between
+  /// runs.
   void set_window_policy(WindowPolicy policy);
   [[nodiscard]] WindowPolicy window_policy() const { return policy_; }
 
   /// Per-(source shard, destination shard) lookahead matrix for the adaptive
-  /// policy, row-major K*K: la[src * K + dst] is the earliest a shard-`src`
-  /// event at time t can affect shard `dst` (t + la). The diagonal is
-  /// ignored. Internally expanded to the shortest-walk closure (>= 1 hop),
-  /// so transitive reactivation chains — A wakes B which sends back to A —
-  /// bound every window correctly. Only between runs; pre: sharded, entries
-  /// >= 0. Rescale together with set_lookahead when a FaultPlan shrinks
+  /// policy (perfbench only, pending deletion with it), row-major K*K:
+  /// la[src * K + dst] is the earliest a shard-`src` event at time t can
+  /// affect shard `dst` (t + la). The diagonal is ignored. Internally
+  /// expanded to the shortest-walk closure (>= 1 hop), so transitive
+  /// reactivation chains — A wakes B which sends back to A — bound every
+  /// window correctly. Only between runs; pre: sharded, entries >= 0.
+  /// Rescale together with set_lookahead when a FaultPlan shrinks
   /// latencies.
   void set_lookahead_matrix(std::vector<Millis> lookaheads);
 
@@ -530,7 +546,8 @@ class Simulator : public Clock {
   /// Bumps the epoch (releasing command_/window_end_) and wakes parked
   /// waiters; returns the new epoch. Thread 0 only, between rounds.
   std::uint32_t publish();
-  /// Last arriver's work: drain all mailboxes, plan the next round.
+  /// Last arriver's work: credit the round's busiest shard to
+  /// critical_events_, drain all mailboxes, plan the next round.
   void serial_phase();
   /// Computes the next window [t_min, window_end_[*]) under policy_, or
   /// sets command_ = kEndRun when nothing remains before limit_.
@@ -559,6 +576,9 @@ class Simulator : public Clock {
   std::vector<Millis> window_end_;  ///< per-shard end of the current round
   Millis limit_ = 0.0;              ///< run_windows() horizon (exclusive)
   std::vector<Millis> next_times_;  ///< plan_round scratch: store horizons
+  /// Each store's `processed` when the current round was planned; the
+  /// serial phase turns it into the round's per-shard event counts.
+  std::vector<std::uint64_t> window_base_;
   std::uint32_t parties_ = 1;
   std::atomic<std::uint32_t> epoch_{0};
   std::atomic<std::uint32_t> arrivals_{0};
@@ -576,6 +596,7 @@ class Simulator : public Clock {
   Millis width_sum_ = 0.0;
   Millis width_max_ = 0.0;
   std::uint64_t mail_items_ = 0;
+  std::uint64_t critical_events_ = 0;
 
   /// Next fan-out id issued outside dispatch (shard stores issue their own
   /// from disjoint ranges; see EventStore).

@@ -180,7 +180,8 @@ class SimTransport final : public Bus, public DeliverySink {
   /// directions) and, when a cohort directory is installed, cohort<->region
   /// rows for every flock in the map. The diagonal and pairs with no link
   /// stay kUnreachable. This is the lookahead matrix for
-  /// Simulator::set_lookahead_matrix (the adaptive window policy).
+  /// Simulator::set_lookahead_matrix (the adaptive window policy), which
+  /// only perfbench's twin-sharded workload uses; pending deletion with it.
   [[nodiscard]] std::vector<Millis> cross_shard_lookaheads(
       const ShardMap& map) const;
 

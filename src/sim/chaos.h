@@ -6,8 +6,8 @@
 // FaultPlan. Everything — fault placement, coin flips, traffic phases — is
 // derived from one seed, so a run is bit-reproducible: same seed, same
 // schedule, same oracle report. ChaosOptions carry the LiveOptions of the
-// system under test: control pipeline, shard count, placement and window
-// policy, subscriber plane and reliability layer.
+// system under test: control pipeline, shard count, subscriber plane and
+// reliability layer.
 //
 // After every round an invariant oracle suite checks system-wide
 // properties (cost-ledger conservation, dead-region silence and exclusion,
@@ -41,9 +41,8 @@ struct ChaosOptions {
   /// conformance oracles arm (clients need time to migrate back).
   int convergence_rounds = 2;
   /// The live system under test. The report is byte-identical for every
-  /// shard count, placement and window policy, and across subscriber
-  /// planes for schedules free of drop rules (a partially dropped
-  /// kConfigUpdate re-homes a whole flock). live.reliable arms the
+  /// shard count, and across subscriber planes for schedules free of drop
+  /// rules (a partially dropped kConfigUpdate re-homes a whole flock). live.reliable arms the
   /// zero-message-loss, no-duplicate and bounded-replication-lag oracles,
   /// and outages then crash/restore brokers.
   LiveOptions live;

@@ -6,6 +6,7 @@
 #include "common/assert.h"
 #include "common/stats.h"
 #include "core/cost_model.h"
+#include "net/shard_placement.h"
 
 namespace multipub::sim {
 
@@ -50,9 +51,9 @@ LiveSystem::LiveSystem(const Scenario& scenario, const LiveOptions& options)
   // reliability layer streams every broker's first state snapshot to its
   // standby, and sharding needs an empty event queue, so it comes last.
   if (options.shards > 1) {
-    base_lookaheads_ =
-        shard_data_plane(sim_, *transport_, scenario.backbone,
-                         scenario.population.home_region, pool_.get(), options);
+    base_lookahead_ = shard_data_plane(sim_, *transport_, scenario.backbone,
+                                       scenario.population.home_region,
+                                       pool_.get(), options.shards);
   }
   if (options.reliable) arm_reliable();
 }
@@ -157,16 +158,16 @@ void LiveSystem::sync_reliable() {
   drain();
 }
 
-ShardLookaheads shard_data_plane(net::Simulator& sim,
-                                 net::SimTransport& transport,
-                                 const geo::InterRegionLatency& backbone,
-                                 const std::vector<RegionId>& home_region,
-                                 client::CohortPool* pool,
-                                 const LiveOptions& options) {
+Millis shard_data_plane(net::Simulator& sim, net::SimTransport& transport,
+                        const geo::InterRegionLatency& backbone,
+                        const std::vector<RegionId>& home_region,
+                        client::CohortPool* pool, std::uint32_t shards) {
   net::ShardMap map;
-  map.shards = options.shards;
-  map.region_shard =
-      net::partition_regions(options.placement, backbone, options.shards);
+  map.shards = shards;
+  // Round-robin spreads the events evenly; its critical path beats the
+  // topology clustering's at every K measured (DESIGN.md §14).
+  map.region_shard = net::partition_regions(net::ShardPlacement::kRoundRobin,
+                                            backbone, shards);
   // Clients are co-sharded with their home region: the dominant client
   // traffic (attach, publish-in, deliver-out) stays intra-shard, and the
   // home link — typically the shortest a client has — never constrains the
@@ -185,14 +186,11 @@ ShardLookaheads shard_data_plane(net::Simulator& sim,
                                .index()]);
     }
   }
-  ShardLookaheads lookaheads{transport.min_cross_shard_latency(map),
-                             transport.cross_shard_lookaheads(map)};
-  MP_EXPECTS(lookaheads.min > 0.0 && lookaheads.min < kUnreachable);
-  transport.set_shards(options.shards);
-  sim.configure_shards(std::move(map), lookaheads.min);
-  sim.set_window_policy(options.window_policy);
-  sim.set_lookahead_matrix(lookaheads.matrix);
-  return lookaheads;
+  const Millis lookahead = transport.min_cross_shard_latency(map);
+  MP_EXPECTS(lookahead > 0.0 && lookahead < kUnreachable);
+  transport.set_shards(shards);
+  sim.configure_shards(std::move(map), lookahead);
+  return lookahead;
 }
 
 void LiveSystem::drain() {
@@ -205,17 +203,7 @@ void LiveSystem::drain() {
     if (const net::FaultPlan* plan = transport_->fault_plan()) {
       scale = plan->lookahead_scale();
     }
-    sim_.set_lookahead(base_lookaheads_.min * scale);
-    if (options_.window_policy == net::WindowPolicy::kAdaptive) {
-      // The matrix shrinks by the same uniform factor (a delay rule can
-      // shorten any link's effective latency by at most that factor);
-      // infinities stay infinite under a positive scale.
-      std::vector<Millis> scaled = base_lookaheads_.matrix;
-      if (scale != 1.0) {
-        for (Millis& entry : scaled) entry *= scale;
-      }
-      sim_.set_lookahead_matrix(std::move(scaled));
-    }
+    sim_.set_lookahead(base_lookahead_ * scale);
   }
   sim_.run();
 }

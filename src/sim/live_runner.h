@@ -11,7 +11,8 @@
 //
 // A run is configured once, by the LiveOptions the constructor takes: the
 // control pipeline, the per-client or cohort subscriber plane, the
-// reliability layer, and the shard count, placement and window policy.
+// reliability layer, and the shard count. A sharded plane always runs
+// round-robin placement with fixed windows (DESIGN.md §14).
 // The constructor builds them in the one valid order: publishers, then
 // Subscribers or the cohort pool, then the shard map (which places the
 // flocks), then the reliable wiring (whose first state snapshots are
@@ -31,7 +32,6 @@
 #include "client/subscriber.h"
 #include "client/topic_set_pool.h"
 #include "common/arena.h"
-#include "net/shard_placement.h"
 #include "net/simulator.h"
 #include "net/transport.h"
 #include "sim/scenario.h"
@@ -61,16 +61,8 @@ struct LiveOptions {
   /// Data-plane worker threads (DESIGN.md §11); 1 is the single-threaded
   /// plane, K > 1 runs conservative windows (see shard_data_plane) and
   /// needs K <= regions. Observables are bit-identical for every shard
-  /// count, placement and window policy.
+  /// count.
   std::uint32_t shards = 1;
-  /// Region-to-shard placement for K > 1 (DESIGN.md §14): kTopology
-  /// clusters nearby regions, widening every window; kRoundRobin is the
-  /// reference recipe.
-  net::ShardPlacement placement = net::ShardPlacement::kTopology;
-  /// Window sizing for K > 1 (DESIGN.md §14): kAdaptive widens windows past
-  /// the fixed stride when the busy-shard horizon allows; kFixed is the
-  /// reference pacing.
-  net::WindowPolicy window_policy = net::WindowPolicy::kAdaptive;
   /// Cohort-compressed subscriber plane (DESIGN.md §12): identical
   /// subscribers fold into weighted cohorts and no per-client Subscriber
   /// exists. With row_bucket_ms == 0, observables are bit-identical to the
@@ -88,25 +80,16 @@ struct LiveOptions {
   bool reliable = false;
 };
 
-/// Unscaled lookaheads of a sharded plane: the scalar window width (the
-/// minimum cross-shard latency) and the K*K cross-shard matrix (row-major).
-struct ShardLookaheads {
-  Millis min = kUnreachable;
-  std::vector<Millis> matrix;
-};
-
 /// LiveSystem's sharding recipe, shared with harnesses that wire a
-/// simulator by hand: regions on options.shards shards by
-/// options.placement, every client (by `home_region`) and every flock of
-/// `pool` (when not null; its flock universe closes here) on its home
-/// region's shard, and windows from the cross-shard lookahead matrix under
-/// options.window_policy. Pre: 2 <= shards <= regions, no pending events.
-ShardLookaheads shard_data_plane(net::Simulator& sim,
-                                 net::SimTransport& transport,
-                                 const geo::InterRegionLatency& backbone,
-                                 const std::vector<RegionId>& home_region,
-                                 client::CohortPool* pool,
-                                 const LiveOptions& options);
+/// simulator by hand: region r on shard r % shards, every client (by
+/// `home_region`) and every flock of `pool` (when not null; its flock
+/// universe closes here) on its home region's shard, and fixed windows as
+/// wide as the minimum cross-shard latency, which it returns unscaled.
+/// Pre: 2 <= shards <= regions, no pending events.
+Millis shard_data_plane(net::Simulator& sim, net::SimTransport& transport,
+                        const geo::InterRegionLatency& backbone,
+                        const std::vector<RegionId>& home_region,
+                        client::CohortPool* pool, std::uint32_t shards);
 
 class LiveSystem {
  public:
@@ -237,8 +220,9 @@ class LiveSystem {
   Dollars billed_so_far_ = 0.0;
   std::vector<std::uint64_t> last_interval_counts_;  // per publisher index
   Bytes last_payload_bytes_ = 0;
-  /// Rescaled under the installed FaultPlan before every drain.
-  ShardLookaheads base_lookaheads_;
+  /// Unscaled window width of a sharded plane; rescaled under the
+  /// installed FaultPlan before every drain.
+  Millis base_lookahead_ = kUnreachable;
   /// Cumulative crash-lost publication counts by topic value.
   std::map<std::int32_t, std::uint64_t> crash_lost_;
 };

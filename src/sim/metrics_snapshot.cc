@@ -95,6 +95,8 @@ MetricsRegistry collect_window_metrics(const LiveSystem& live) {
   out.set("dataplane.window_width_max_ms", stats.width_max);
   out.set("dataplane.events_per_window", stats.events_per_window());
   out.set("dataplane.mail_items", static_cast<double>(stats.mail_items));
+  out.set("dataplane.critical_events",
+          static_cast<double>(stats.critical_events));
   out.set("dataplane.barrier_spins",
           static_cast<double>(stats.barrier_spins));
   out.set("dataplane.barrier_parks",

@@ -27,11 +27,13 @@ namespace multipub::sim {
 /// separate from collect_metrics: that snapshot is byte-compared across
 /// shard counts by the differential suites, while these numbers describe the
 /// execution engine itself (how the plane was driven, not what it did) and
-/// legitimately vary with shards, placement and window policy. All zeros on
-/// an unsharded system. Names:
+/// legitimately vary with the shard count. All zeros on an unsharded
+/// system. critical_events is the sum over windows of the busiest shard's
+/// event count (events / critical_events bounds the K-core speedup).
+/// Names:
 ///   dataplane.windows_executed / .window_width_mean_ms /
 ///             .window_width_max_ms / .events_per_window / .mail_items /
-///             .barrier_spins / .barrier_parks
+///             .critical_events / .barrier_spins / .barrier_parks
 [[nodiscard]] MetricsRegistry collect_window_metrics(const LiveSystem& live);
 
 }  // namespace multipub::sim

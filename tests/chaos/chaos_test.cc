@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "sim/fault_schedule.h"
@@ -178,16 +177,11 @@ TEST(InvariantOracles, BoundedReplicationLag) {
 
 /// End-to-end campaigns over the failure-test workload: clients split
 /// across two continents, a bound tight enough that outages force real
-/// reconfigurations. Parameterized over the data-plane tuning — shard
-/// count, shard placement and window policy (DESIGN.md §14) — every
+/// reconfigurations. Parameterized over the data-plane shard count: every
 /// campaign, including the negative-path ones with their shrunk repro
 /// schedules, must behave identically whether the plane runs
-/// single-threaded or sharded across workers under any tuning.
-using ChaosDataPlaneTuning =
-    std::tuple<std::uint32_t, net::ShardPlacement, net::WindowPolicy>;
-
-class ChaosCampaignTest
-    : public ::testing::TestWithParam<ChaosDataPlaneTuning> {
+/// single-threaded or sharded across workers.
+class ChaosCampaignTest : public ::testing::TestWithParam<std::uint32_t> {
  protected:
   ChaosCampaignTest() : rng_(101) {
     WorkloadSpec workload;
@@ -198,8 +192,7 @@ class ChaosCampaignTest
                               workload, rng_);
     options_.rounds = 10;
     options_.interval_seconds = 5.0;
-    std::tie(options_.live.shards, options_.live.placement,
-             options_.live.window_policy) = GetParam();
+    options_.live.shards = GetParam();
   }
 
   /// Outage + partition + drop + delay, faults clear by round 6 so the
@@ -317,33 +310,11 @@ TEST_P(ChaosCampaignTest, BoundedSoakAcrossSeedsAndPaths) {
   }
 }
 
-std::string chaos_tuning_name(
-    const ::testing::TestParamInfo<ChaosDataPlaneTuning>& info) {
-  const auto [shards, placement, policy] = info.param;
-  if (shards == 1) return "Shards1";
-  std::string name = "Shards" + std::to_string(shards);
-  name += placement == net::ShardPlacement::kRoundRobin ? "RoundRobin"
-                                                        : "Topology";
-  name += policy == net::WindowPolicy::kFixed ? "Fixed" : "Adaptive";
-  return name;
-}
-
-// The single-threaded baseline once (tuning is irrelevant at K = 1), then
-// the full {placement} x {policy} grid at K = 4.
 INSTANTIATE_TEST_SUITE_P(
-    DataPlaneShards, ChaosCampaignTest,
-    ::testing::Values(
-        std::make_tuple(1u, net::ShardPlacement::kTopology,
-                        net::WindowPolicy::kAdaptive),
-        std::make_tuple(4u, net::ShardPlacement::kRoundRobin,
-                        net::WindowPolicy::kFixed),
-        std::make_tuple(4u, net::ShardPlacement::kRoundRobin,
-                        net::WindowPolicy::kAdaptive),
-        std::make_tuple(4u, net::ShardPlacement::kTopology,
-                        net::WindowPolicy::kFixed),
-        std::make_tuple(4u, net::ShardPlacement::kTopology,
-                        net::WindowPolicy::kAdaptive)),
-    chaos_tuning_name);
+    DataPlaneShards, ChaosCampaignTest, ::testing::Values(1u, 4u),
+    [](const ::testing::TestParamInfo<std::uint32_t>& info) {
+      return "Shards" + std::to_string(info.param);
+    });
 
 /// Reliable-delivery campaigns (DESIGN.md §15): the same failure workload
 /// with the sequenced-replay + Clone-replication layer armed, which also
@@ -579,8 +550,8 @@ TEST(ChaosCohortEquivalence, DropFreeReportsAreByteIdenticalAcrossPlanes) {
 TEST(ChaosShardEquivalence, ReportRenderIsByteIdenticalAcrossShardCounts) {
   // The strongest cross-K statement the harness can make: the FULL rendered
   // report — per-round observations, counters, costs, violations, schedule —
-  // is byte-identical whether the plane ran on one shard or four. A report
-  // that mentioned its shard count would rightly fail here.
+  // is byte-identical whether the plane ran on one shard, two or four. A
+  // report that mentioned its shard count would rightly fail here.
   Rng rng(101);
   WorkloadSpec workload;
   workload.interval_seconds = 5.0;
@@ -602,21 +573,13 @@ TEST(ChaosShardEquivalence, ReportRenderIsByteIdenticalAcrossShardCounts) {
   const ChaosReport one = ChaosRunner(scenario, options).run_schedule(
       schedule, 42);
   ASSERT_TRUE(one.passed()) << one.render();
-  // ...under every (placement, window-policy) tuning of the sharded plane.
-  options.live.shards = 4;
-  for (const auto placement : {net::ShardPlacement::kRoundRobin,
-                               net::ShardPlacement::kTopology}) {
-    for (const auto policy :
-         {net::WindowPolicy::kFixed, net::WindowPolicy::kAdaptive}) {
-      options.live.placement = placement;
-      options.live.window_policy = policy;
-      const ChaosReport four = ChaosRunner(scenario, options).run_schedule(
-          schedule, 42);
-      EXPECT_EQ(one.render(), four.render())
-          << net::shard_placement_name(placement) << " / "
-          << net::window_policy_name(policy);
-      EXPECT_EQ(one.deliveries, four.deliveries);
-    }
+  // ...and on every sharded plane.
+  for (const std::uint32_t shards : {2u, 4u}) {
+    options.live.shards = shards;
+    const ChaosReport sharded = ChaosRunner(scenario, options).run_schedule(
+        schedule, 42);
+    EXPECT_EQ(one.render(), sharded.render()) << "shards " << shards;
+    EXPECT_EQ(one.deliveries, sharded.deliveries);
   }
 }
 

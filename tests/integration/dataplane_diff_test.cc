@@ -8,20 +8,16 @@
 // A second sweep proves the sharded parallel plane (DESIGN.md §11): the
 // same script over shard counts {1, 2, 4, 8}, every observable compared
 // against the single-threaded plane — the shard count must never be
-// observable. That sweep is itself parameterized over the full tuning grid
-// {incremental, full-scan} x {round-robin, topology} x {fixed, adaptive}
-// (DESIGN.md §14): neither the placement nor the window policy may be
-// observable either.
+// observable. That sweep is parameterized over the control-plane pipeline
+// too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "live_digest.h"
-#include "net/shard_placement.h"
 #include "sim/live_runner.h"
 #include "sim/metrics_snapshot.h"
 #include "sim/scenario.h"
@@ -103,18 +99,17 @@ TEST_P(DataPlaneDiff, FastPathIsBitIdenticalToSeedPathAcrossLiveRounds) {
   EXPECT_EQ(chain.back(), golden) << testutil::render_chain(chain);
 }
 
+std::string pipeline_name(const ::testing::TestParamInfo<bool>& info) {
+  return info.param ? "Incremental" : "FullScan";
+}
+
 INSTANTIATE_TEST_SUITE_P(ControlPlane, DataPlaneDiff, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Incremental" : "FullScan";
-                         });
+                         pipeline_name);
 
-using ShardedTuning =
-    std::tuple<bool, net::ShardPlacement, net::WindowPolicy>;
-
-class ShardedPlaneDiff : public ::testing::TestWithParam<ShardedTuning> {};
+class ShardedPlaneDiff : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ShardedPlaneDiff, BitIdenticalForEveryShardCount) {
-  const auto [incremental, placement, policy] = GetParam();
+  const bool incremental = GetParam();
   Rng rng(2026);
   WorkloadSpec workload;
   workload.interval_seconds = 10.0;
@@ -124,8 +119,7 @@ TEST_P(ShardedPlaneDiff, BitIdenticalForEveryShardCount) {
       make_scenario({{RegionId{0}, 2, 4}, {RegionId{5}, 2, 4}}, workload, rng);
 
   // The reference runs on default options; the candidates sweep the shard
-  // counts, including the trivial K = 1 (same plane, with the placement and
-  // window policy under test passed along).
+  // counts, including the trivial K = 1 (the same plane, built again).
   const std::vector<std::uint32_t> shard_counts{1, 2, 4, 8};
   auto reference = std::make_unique<LiveSystem>(
       scenario, LiveOptions{.incremental = incremental});
@@ -133,10 +127,7 @@ TEST_P(ShardedPlaneDiff, BitIdenticalForEveryShardCount) {
   std::vector<LiveSystem*> systems{reference.get()};
   for (std::uint32_t shards : shard_counts) {
     candidates.push_back(std::make_unique<LiveSystem>(
-        scenario, LiveOptions{.incremental = incremental,
-                              .shards = shards,
-                              .placement = placement,
-                              .window_policy = policy}));
+        scenario, LiveOptions{.incremental = incremental, .shards = shards}));
     ASSERT_EQ(candidates.back()->options().shards, shards);
     systems.push_back(candidates.back().get());
   }
@@ -231,25 +222,8 @@ TEST_P(ShardedPlaneDiff, BitIdenticalForEveryShardCount) {
   ASSERT_NE(failed.value(), -1);
 }
 
-std::string sharded_tuning_name(
-    const ::testing::TestParamInfo<ShardedTuning>& info) {
-  const auto [incremental, placement, policy] = info.param;
-  std::string name = incremental ? "Incremental" : "FullScan";
-  name += placement == net::ShardPlacement::kRoundRobin ? "RoundRobin"
-                                                        : "Topology";
-  name += policy == net::WindowPolicy::kFixed ? "Fixed" : "Adaptive";
-  return name;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Tuning, ShardedPlaneDiff,
-    ::testing::Combine(
-        ::testing::Bool(),
-        ::testing::Values(net::ShardPlacement::kRoundRobin,
-                          net::ShardPlacement::kTopology),
-        ::testing::Values(net::WindowPolicy::kFixed,
-                          net::WindowPolicy::kAdaptive)),
-    sharded_tuning_name);
+INSTANTIATE_TEST_SUITE_P(ControlPlane, ShardedPlaneDiff, ::testing::Bool(),
+                         pipeline_name);
 
 }  // namespace
 }  // namespace multipub::sim

@@ -7,6 +7,9 @@
 // configurations.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/cost_model.h"
 #include "core/delivery_model.h"
 #include "sim/live_runner.h"
@@ -19,6 +22,30 @@ struct LiveCase {
   std::uint64_t mask;
   core::DeliveryMode mode;
 };
+
+/// Stable test id, e.g. "R1_R6_Routed": the serving regions (1-based, as in
+/// the paper's figures) and the delivery mode. A run of three or more
+/// consecutive regions is written as a range ("R1toR10_Direct"), so the full
+/// test name stays short.
+std::string live_case_name(const LiveCase& c) {
+  std::string name;
+  for (int r = 0; r < 64; ++r) {
+    if (((c.mask >> r) & 1u) == 0) continue;
+    int last = r;
+    while (last + 1 < 64 && ((c.mask >> (last + 1)) & 1u)) ++last;
+    name += "R" + std::to_string(r + 1);
+    if (last - r >= 2) {
+      name += "toR" + std::to_string(last + 1);
+      r = last;
+    }
+    name += "_";
+  }
+  return name + (c.mode == core::DeliveryMode::kRouted ? "Routed" : "Direct");
+}
+
+/// Prints the case by its name, so gtest never dumps the struct's bytes
+/// (padding included) into the test list.
+void PrintTo(const LiveCase& c, std::ostream* os) { *os << live_case_name(c); }
 
 class LiveVsModel : public ::testing::TestWithParam<LiveCase> {
  protected:
@@ -73,7 +100,10 @@ INSTANTIATE_TEST_SUITE_P(
         LiveCase{0b1000100001, core::DeliveryMode::kDirect},   // {R1,R6,R10}
         LiveCase{0b1000100001, core::DeliveryMode::kRouted},
         LiveCase{0b1111111111, core::DeliveryMode::kDirect},   // all
-        LiveCase{0b1111111111, core::DeliveryMode::kRouted}));
+        LiveCase{0b1111111111, core::DeliveryMode::kRouted}),
+    [](const ::testing::TestParamInfo<LiveCase>& info) {
+      return live_case_name(info.param);
+    });
 
 TEST(LiveVsModelExtras, EveryIndividualDeliveryMatchesPairModel) {
   Rng rng(32);

@@ -116,10 +116,32 @@ TEST(ShardedSimulator, RingTraceIsBitIdenticalForEveryShardCount) {
   }
 }
 
+TEST(ShardedSimulator, CriticalPathIsPinnedForEveryShardCount) {
+  // The critical path — per window, the busiest shard's event count, summed
+  // — depends only on virtual time, never on which thread arrives first, so
+  // the ring pins it exactly, run after run. It lies between one event per
+  // window and every event.
+  struct Pin {
+    std::uint32_t shards;
+    std::uint64_t critical_events;
+  };
+  for (const Pin pin : {Pin{2, 90}, Pin{4, 48}}) {
+    for (int run = 0; run < 3; ++run) {
+      WindowStats stats;
+      (void)run_ring(pin.shards, 40, WindowPolicy::kFixed, &stats);
+      EXPECT_EQ(stats.critical_events, pin.critical_events)
+          << "shards=" << pin.shards << " run=" << run;
+      EXPECT_GE(stats.critical_events, stats.windows);
+      EXPECT_LT(stats.critical_events, stats.events);
+    }
+  }
+}
+
 TEST(ShardedSimulator, AdaptiveWindowsKeepTheTraceAndExecuteFewerWindows) {
   // The adaptive policy (DESIGN.md §14) may only change window STRUCTURE:
   // same arithmetic in the same order, exactly equal traces — while paying
   // fewer synchronization rounds than fixed pacing on the same workload.
+  // Only perfbench's twin-sharded workload still runs it.
   const auto reference = run_ring(1, 40);
   for (std::uint32_t shards : {2u, 4u}) {
     WindowStats fixed_stats;

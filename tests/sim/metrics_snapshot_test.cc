@@ -102,6 +102,9 @@ TEST_F(MetricsSnapshotTest, WindowMetricsLiveInTheirOwnRegistry) {
   EXPECT_TRUE(windows.contains("dataplane.barrier_spins"));
   EXPECT_TRUE(windows.contains("dataplane.barrier_parks"));
   EXPECT_TRUE(windows.contains("dataplane.mail_items"));
+  // Every window dispatches at least one event on its busiest shard.
+  EXPECT_GE(windows.value("dataplane.critical_events"),
+            windows.value("dataplane.windows_executed"));
 }
 
 TEST_F(MetricsSnapshotTest, WindowMetricsAreAllZeroUnsharded) {
@@ -113,6 +116,7 @@ TEST_F(MetricsSnapshotTest, WindowMetricsAreAllZeroUnsharded) {
   EXPECT_DOUBLE_EQ(windows.value("dataplane.windows_executed"), 0.0);
   EXPECT_DOUBLE_EQ(windows.value("dataplane.mail_items"), 0.0);
   EXPECT_DOUBLE_EQ(windows.value("dataplane.barrier_parks"), 0.0);
+  EXPECT_DOUBLE_EQ(windows.value("dataplane.critical_events"), 0.0);
 }
 
 }  // namespace

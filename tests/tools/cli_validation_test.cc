@@ -1,9 +1,9 @@
 // Flag-validation contracts of the CLI binaries: a data plane with more
 // shards than regions would run workers that own nothing yet pay every
 // barrier round, so all three binaries must reject it up front with a clear
-// message — and the new tuning flags must be part of each binary's allowed
-// vocabulary. Exercised against the real executables (like the node
-// convergence test), because the checks live in their main()s.
+// message — and each binary accepts exactly its documented vocabulary.
+// Exercised against the real executables (like the node convergence test),
+// because the checks live in their main()s.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -129,19 +129,22 @@ TEST(CliValidation, BreakHooksRequireReliableOn) {
              "need --reliable on");
 }
 
-TEST(CliValidation, TuningFlagsAreAcceptedVocabulary) {
-  // --shard-placement / --window-policy must parse (bad values rejected,
-  // good values not reported as unknown flags). --print-schedule keeps the
-  // chaos run from actually executing a campaign.
-  expect_cli("/tools/multipub-chaos --seed 7 --shard-placement diagonal", 2,
-             "--shard-placement");
-  expect_cli("/tools/multipub-chaos --seed 7 --shards 4 "
-             "--shard-placement round-robin --window-policy fixed "
-             "--print-schedule",
-             0, "");
-  expect_cli("/tools/multipub-sim --pubs-per-region 1 --subs-per-region 1 "
-             "--live --window-policy sometimes",
-             2, "--window-policy");
+TEST(CliValidation, RemovedTuningFlagsAreUnknownEverywhere) {
+  // The sharded plane has one tuning (round-robin placement, fixed
+  // windows), so the flags that once chose another are unknown flags in
+  // all three binaries — even with the values that used to be valid.
+  const std::vector<std::string> binaries{
+      "/tools/multipub-sim --pubs-per-region 1 --subs-per-region 1 --live "
+      "--shards 4 ",
+      "/tools/multipub-chaos --seed 7 --shards 4 --print-schedule ",
+      "/bench/bench_dataplane --pubs 1000 --mode shards=4 ",
+  };
+  for (const std::string& binary : binaries) {
+    expect_cli(binary + "--shard-placement round-robin", 2,
+               "unknown flag --shard-placement");
+    expect_cli(binary + "--window-policy fixed", 2,
+               "unknown flag --window-policy");
+  }
 }
 
 TEST(CliValidation, CohortsFlagIsStrictlyOnOrOff) {
@@ -172,8 +175,8 @@ TEST(CliValidation, LiveFlagValuesAreCheckedInSimAndChaos) {
   expect_cli(sim + "--quantize-ms 5", 2, "add --cohorts on");
   expect_cli("/tools/multipub-chaos --seed 7 --shards 0", 2,
              "--shards must be >= 1");
-  expect_cli("/tools/multipub-chaos --seed 7 --window-policy sometimes", 2,
-             "--window-policy must be 'fixed' or 'adaptive'");
+  expect_cli("/tools/multipub-chaos --seed 7 --incremental sometimes", 2,
+             "--incremental must be 'on' or 'off'");
 }
 
 }  // namespace

@@ -8,15 +8,13 @@
 #include <string>
 
 #include "flags.h"
-#include "net/shard_placement.h"
 #include "sim/live_runner.h"
 
 namespace multipub::tools {
 
-/// Reads --incremental, --shards, --shard-placement, --window-policy,
-/// --cohorts, --quantize-ms and --reliable; absent flags keep the
-/// LiveOptions defaults. Invalid values are recorded in flags.errors();
-/// `regions` bounds --shards.
+/// Reads --incremental, --shards, --cohorts, --quantize-ms and --reliable;
+/// absent flags keep the LiveOptions defaults. Invalid values are recorded
+/// in flags.errors(); `regions` bounds --shards.
 [[nodiscard]] inline sim::LiveOptions read_live_options(Flags& flags,
                                                         std::size_t regions) {
   sim::LiveOptions options;
@@ -32,19 +30,6 @@ namespace multipub::tools {
                 " regions; shards must be <= regions");
   } else {
     options.shards = static_cast<std::uint32_t>(shards);
-  }
-
-  if (const auto placement = net::parse_shard_placement(
-          flags.get("shard-placement", "topology"))) {
-    options.placement = *placement;
-  } else {
-    flags.error("--shard-placement must be 'round-robin' or 'topology'");
-  }
-  if (const auto policy =
-          net::parse_window_policy(flags.get("window-policy", "adaptive"))) {
-    options.window_policy = *policy;
-  } else {
-    flags.error("--window-policy must be 'fixed' or 'adaptive'");
   }
 
   options.cohorts = flags.get_on_off("cohorts", options.cohorts);

@@ -57,10 +57,6 @@ Paths under test:
   --shards K               data-plane worker threads (default 1; K <=
                            regions; the report must be byte-identical for
                            every K)
-  --shard-placement P      region-to-shard placement for K > 1:
-                           round-robin | topology (default topology)
-  --window-policy P        sharded window sizing: fixed | adaptive
-                           (default adaptive)
   --reliable on|off        reliability layer (DESIGN.md §15): sequenced
                            replay, reconnect-and-replay, broker state
                            replication — arms the zero-message-loss,
@@ -95,7 +91,7 @@ int main(int argc, char** argv) {
   flags.allow_only({
       "help", "seed", "rounds", "faults", "interval", "rate", "k",
       "no-shrink", "schedule", "print-schedule", "scenario", "incremental",
-      "shards", "shard-placement", "window-policy", "reliable",
+      "shards", "reliable",
       "break-outage-exclusion", "freeze-control-plane", "break-replay",
       "break-dedup", "break-state-sync",
   });

@@ -78,11 +78,6 @@ Validation:
   --shards K               with --live: run the data plane on K worker
                            threads (conservative time windows, DESIGN.md
                            §11; default 1; K <= regions)
-  --shard-placement P      with --shards: region-to-shard placement,
-                           round-robin | topology (default topology,
-                           DESIGN.md §14; never changes observables)
-  --window-policy P        with --shards: window sizing, fixed | adaptive
-                           (default adaptive; never changes observables)
   --clients N              with --live: replicate the subscriber positions
                            round-robin until N subscribers exist (clones
                            share their original's exact latency row and
@@ -120,8 +115,7 @@ int main(int argc, char** argv) {
       "rate", "size", "interval", "ratio", "max-t", "sweep", "mode",
       "heuristic", "exact-list", "synthetic-regions", "modern-aws", "seed",
       "latencies", "dump-latencies", "live", "incremental", "shards",
-      "shard-placement", "window-policy", "clients", "cohorts",
-      "quantize-ms", "reliable", "explain", "metrics",
+      "clients", "cohorts", "quantize-ms", "reliable", "explain", "metrics",
   });
 
   const long seed = flags.get_int("seed", 2017);
@@ -187,8 +181,9 @@ int main(int argc, char** argv) {
     }
   }
   // Flag errors (unknown flags, malformed numbers) first: a typo must not
-  // be masked by the missing-workload hint below.
-  if (flags.print_errors()) return 1;
+  // be masked by the missing-workload hint below. Exit 2, like every other
+  // flag error.
+  if (flags.print_errors()) return 2;
 
   if (placements.empty() && !flags.has("scenario")) {
     std::fprintf(stderr,
@@ -288,12 +283,11 @@ int main(int argc, char** argv) {
     flags.error("--clients must be >= 1");
   }
   if ((live_options.shards > 1 || flags.has("cohorts") ||
-       flags.has("clients") || flags.has("shard-placement") ||
-       flags.has("window-policy") || flags.has("reliable")) &&
+       flags.has("clients") || flags.has("reliable")) &&
       !flags.get_bool("live", false)) {
     flags.error(
-        "--shards/--shard-placement/--window-policy/--cohorts/--clients/"
-        "--reliable only apply to the live middleware: add --live");
+        "--shards/--cohorts/--clients/--reliable only apply to the live "
+        "middleware: add --live");
   }
   if (flags.print_errors()) return 2;
 
@@ -446,7 +440,7 @@ int main(int argc, char** argv) {
                   sim::collect_metrics(live).render().c_str());
       if (live_options.shards > 1) {
         std::printf("\nwindow telemetry (engine-level, varies with "
-                    "tuning):\n%s",
+                    "the shard count):\n%s",
                     sim::collect_window_metrics(live).render().c_str());
       }
     }
