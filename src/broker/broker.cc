@@ -5,22 +5,9 @@
 
 #include "common/assert.h"
 #include "common/logging.h"
+#include "wire/topic_config.h"
 
 namespace multipub::broker {
-namespace {
-
-/// Replica entries double as wire messages; config entries are rebuilt into
-/// core configs when a successor restores from them.
-core::TopicConfig config_from_entry(const wire::Message& entry) {
-  core::TopicConfig config;
-  config.regions = entry.config_regions;
-  config.mode = entry.config_mode == wire::WireMode::kRouted
-                    ? core::DeliveryMode::kRouted
-                    : core::DeliveryMode::kDirect;
-  return config;
-}
-
-}  // namespace
 
 Broker::Broker(RegionId self, net::Clock& clock, net::Bus& bus)
     : self_(self), clock_(&clock), bus_(&bus) {
@@ -37,8 +24,8 @@ void Broker::set_topic_config(TopicId topic, const core::TopicConfig& config) {
     // serving set until clients have finished their handover.
     Drain& drain = draining_[topic];
     drain.regions = drain.regions | it->second.regions;
-    drain.until = clock_->now() + kDrainGraceMs;
-    clock_->schedule_after(kDrainGraceMs, [this, topic] {
+    drain.until = clock_->now() + wire::kHandoverGraceMs;
+    clock_->schedule_after(wire::kHandoverGraceMs, [this, topic] {
       const auto drain_it = draining_.find(topic);
       if (drain_it != draining_.end() &&
           clock_->now() >= drain_it->second.until) {
@@ -52,10 +39,7 @@ void Broker::set_topic_config(TopicId topic, const core::TopicConfig& config) {
     wire::Message delta;
     delta.topic = topic;
     delta.subscriber = ClientId{-1};  // config entry, not a subscription
-    delta.config_regions = config.regions;
-    delta.config_mode = config.mode == core::DeliveryMode::kRouted
-                            ? wire::WireMode::kRouted
-                            : wire::WireMode::kDirect;
+    wire::set_config(delta, config);
     delta.seq = 1;  // upsert
     emit_state_delta(delta);
   }
@@ -314,7 +298,7 @@ bool Broker::has_accepted(TopicId topic, ClientId publisher,
 }
 
 ReplayRing& Broker::ring(TopicId topic) {
-  return rings_.try_emplace(topic, replay_capacity_).first->second;
+  return rings_.try_emplace(topic).first->second;
 }
 
 std::uint64_t Broker::replica_applied_seq(RegionId owner) const {
@@ -467,10 +451,7 @@ void Broker::stream_state_snapshot(RegionId to, RegionId owner) {
       entry.publisher = ClientId{owner.value()};
       entry.topic = TopicId{t};
       entry.subscriber = ClientId{-1};
-      entry.config_regions = config.regions;
-      entry.config_mode = config.mode == core::DeliveryMode::kRouted
-                              ? wire::WireMode::kRouted
-                              : wire::WireMode::kDirect;
+      wire::set_config(entry, config);
       entry.seq = 1;
       bus_->send(self_addr, dest, entry);
     }
@@ -532,7 +513,7 @@ void Broker::on_state_snapshot(const wire::Message& msg) {
       // The controller must re-learn what this region serves.
       membership_changed_.insert(msg.topic);
     } else {
-      configs_[msg.topic] = config_from_entry(msg);  // no drain on restore
+      configs_[msg.topic] = wire::config_of(msg);  // no drain on restore
     }
     return;
   }

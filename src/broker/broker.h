@@ -36,10 +36,6 @@ struct LatencyReport {
 
 class Broker {
  public:
-  /// How long the previous region set keeps receiving routed fan-out after
-  /// a reconfiguration.
-  static constexpr Millis kDrainGraceMs = 1000.0;
-
   /// Registers itself as the handler for Address::region(self) on the bus.
   /// Clock and bus must outlive the broker (the clock drives the
   /// reconfiguration drain windows). The broker is transport-agnostic: the
@@ -54,8 +50,9 @@ class Broker {
   ///
   /// Replacing an existing configuration starts a DRAIN window: routed
   /// publications keep being fanned out to the previous region set too for
-  /// kDrainGraceMs, because remote subscribers re-attach asynchronously
-  /// and would otherwise miss the publications racing the reconfiguration.
+  /// wire::kHandoverGraceMs, because remote subscribers re-attach
+  /// asynchronously and would otherwise miss the publications racing the
+  /// reconfiguration.
   void set_topic_config(TopicId topic, const core::TopicConfig& config);
 
   [[nodiscard]] const core::TopicConfig* topic_config(TopicId topic) const;
@@ -122,11 +119,6 @@ class Broker {
   /// is bit-identical to the pre-reliable broker).
   void set_reliable(bool on) { reliable_ = on; }
   [[nodiscard]] bool reliable() const { return reliable_; }
-
-  /// Per-topic replay-ring capacity for rings created after the call.
-  void set_replay_capacity(std::size_t capacity) {
-    replay_capacity_ = capacity;
-  }
 
   /// Negative chaos hook: a broker with replay disabled ignores every
   /// kReplayRequest, so losses stay unrepaired (the zero-loss oracle must
@@ -244,7 +236,6 @@ class Broker {
   bool reliable_ = false;
   bool replay_enabled_ = true;
   bool state_sync_enabled_ = true;
-  std::size_t replay_capacity_ = ReplayRing::kDefaultCapacity;
   /// Per-topic bounded replay store; ring head is also the per-topic
   /// delivery sequence stamp.
   std::unordered_map<TopicId, ReplayRing> rings_;

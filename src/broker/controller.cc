@@ -30,10 +30,6 @@ void Controller::set_constraint(TopicId topic,
   store_.set_constraint(topic, constraint);
 }
 
-void Controller::set_traffic_threshold(double threshold) {
-  store_.set_traffic_threshold(threshold);
-}
-
 void Controller::enable_failure_detection(int missed_rounds) {
   MP_EXPECTS(missed_rounds >= 1);
   failure_detection_rounds_ = missed_rounds;

@@ -126,10 +126,6 @@ class Controller {
   [[nodiscard]] const core::Optimizer& optimizer() const { return optimizer_; }
   [[nodiscard]] const core::TopicStore& topic_store() const { return store_; }
 
-  /// Noise gate for dirty tracking: relative per-publisher traffic deltas at
-  /// or below `threshold` do not dirty a topic (see TopicStoreOptions).
-  void set_traffic_threshold(double threshold);
-
   /// Folds one region's drained latency reports into the estimator: each
   /// sample is a measured client<->region one-way latency (paper §III-C).
   /// Samples that move an estimate dirty the client's topics.

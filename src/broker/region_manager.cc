@@ -6,6 +6,7 @@
 
 #include "common/assert.h"
 #include "common/logging.h"
+#include "wire/topic_config.h"
 
 namespace multipub::broker {
 
@@ -28,16 +29,6 @@ bool same_stats(const std::vector<core::PublisherStats>& a,
 RegionManager::RegionManager(RegionId self, net::Clock& clock, net::Bus& bus)
     : bus_(&bus), broker_(self, clock, bus) {}
 
-void RegionManager::set_refresh_period(int period) {
-  MP_EXPECTS(period >= 1);
-  refresh_period_ = period;
-}
-
-void RegionManager::set_known_publisher_cap(std::size_t cap) {
-  MP_EXPECTS(cap >= 1);
-  known_publisher_cap_ = cap;
-}
-
 std::size_t RegionManager::known_publisher_count(TopicId topic) const {
   const auto it = known_publishers_.find(topic);
   return it == known_publishers_.end() ? 0 : it->second.size();
@@ -45,7 +36,7 @@ std::size_t RegionManager::known_publisher_count(TopicId topic) const {
 
 void RegionManager::remember_publisher(TopicId topic, ClientId publisher) {
   auto& known = known_publishers_[topic];
-  if (known.size() >= known_publisher_cap_ && known.count(publisher) == 0) {
+  if (known.size() >= kKnownPublisherCap && known.count(publisher) == 0) {
     known.erase(known.begin());  // bounded memory beats perfect recall
   }
   known.insert(publisher);
@@ -60,11 +51,7 @@ std::vector<TopicReport> RegionManager::collect_full_reports() {
 }
 
 ReportBatch RegionManager::collect_impl(bool force_full) {
-  const bool full = force_full || collections_ == 0 ||
-                    refresh_period_ <= 1 ||
-                    collections_ % static_cast<std::uint64_t>(
-                                       refresh_period_) ==
-                        0;
+  const bool full = force_full || collections_ % kRefreshPeriod == 0;
   ++collections_;
 
   // This interval's traffic, sorted per topic for deterministic reports.
@@ -206,10 +193,7 @@ void RegionManager::apply_config(TopicId topic,
   wire::Message update;
   update.type = wire::MessageType::kConfigUpdate;
   update.topic = topic;
-  update.config_regions = config.regions;
-  update.config_mode = config.mode == core::DeliveryMode::kRouted
-                           ? wire::WireMode::kRouted
-                           : wire::WireMode::kDirect;
+  wire::set_config(update, config);
 
   const net::Address self = net::Address::region(region());
   // Notify local subscribers (by-reference view; no per-call vector)...
@@ -246,10 +230,7 @@ void RegionManager::notify_client(TopicId topic,
   wire::Message update;
   update.type = wire::MessageType::kConfigUpdate;
   update.topic = topic;
-  update.config_regions = config.regions;
-  update.config_mode = config.mode == core::DeliveryMode::kRouted
-                           ? wire::WireMode::kRouted
-                           : wire::WireMode::kDirect;
+  wire::set_config(update, config);
   bus_->send(net::Address::region(region()),
                    net::Address::client(client), update);
 }
@@ -260,10 +241,7 @@ void RegionManager::notify_flock(TopicId topic, const core::TopicConfig& config,
   wire::Message update;
   update.type = wire::MessageType::kConfigUpdate;
   update.topic = topic;
-  update.config_regions = config.regions;
-  update.config_mode = config.mode == core::DeliveryMode::kRouted
-                           ? wire::WireMode::kRouted
-                           : wire::WireMode::kDirect;
+  wire::set_config(update, config);
   update.weight = weight;
   bus_->send(net::Address::region(region()), net::Address::cohort(flock),
                    update);

@@ -8,7 +8,7 @@
 //
 // Reports are DELTAS: a topic appears in a batch only when its traffic
 // differs from what this manager last reported or its local subscriber set
-// changed. Every refresh_period()-th collection is a full snapshot
+// changed. Every kRefreshPeriod-th collection is a full snapshot
 // (full_snapshot = true) so the controller can self-heal from any lost or
 // reordered delta. collect_full_reports() forces the seed's unconditional
 // snapshot for the non-incremental reference pipeline.
@@ -45,6 +45,13 @@ struct ReportBatch {
 
 class RegionManager {
  public:
+  /// collect_reports() sends a full snapshot on the first collection and on
+  /// every kRefreshPeriod-th one after it.
+  static constexpr std::uint64_t kRefreshPeriod = 16;
+  /// Cap on remembered publishers per topic (an arbitrary entry is evicted
+  /// at the cap). Bounds known_publishers_ memory under publisher churn.
+  static constexpr std::size_t kKnownPublisherCap = 4096;
+
   /// Creates the region's broker and registers it on the bus.
   RegionManager(RegionId self, net::Clock& clock, net::Bus& bus);
 
@@ -57,7 +64,7 @@ class RegionManager {
 
   /// Delta report for this interval: topics whose traffic or local
   /// membership changed since the previous collection, ordered by topic id.
-  /// The first collection and every refresh_period()-th one are full
+  /// The first collection and every kRefreshPeriod-th one are full
   /// snapshots. Resets the broker's traffic counters.
   [[nodiscard]] ReportBatch collect_reports();
 
@@ -65,11 +72,6 @@ class RegionManager {
   /// subscriptions (always a full snapshot) — the non-incremental reference
   /// path. Resets the broker's traffic counters.
   [[nodiscard]] std::vector<TopicReport> collect_full_reports();
-
-  /// How often collect_reports() sends a full snapshot (every Nth call);
-  /// <= 1 means every collection is full. The first collection always is.
-  void set_refresh_period(int period);
-  [[nodiscard]] int refresh_period() const { return refresh_period_; }
 
   /// Drains the latency samples clients reported to this region this
   /// interval (for the controller's latency estimator).
@@ -101,9 +103,6 @@ class RegionManager {
   void notify_flock(TopicId topic, const core::TopicConfig& config,
                     std::int32_t flock, std::uint32_t weight);
 
-  /// Cap on remembered publishers per topic (an arbitrary entry is evicted
-  /// at the cap). Bounds known_publishers_ memory under publisher churn.
-  void set_known_publisher_cap(std::size_t cap);
   [[nodiscard]] std::size_t known_publisher_count(TopicId topic) const;
   [[nodiscard]] std::size_t known_publisher_topic_count() const {
     return known_publishers_.size();
@@ -122,14 +121,12 @@ class RegionManager {
   /// Publishers ever seen per topic — kept across intervals so that a
   /// publisher that was quiet during the last interval still learns about
   /// configuration changes. Pruned when the topic leaves this region and
-  /// capped per topic (see set_known_publisher_cap).
+  /// capped per topic at kKnownPublisherCap.
   std::unordered_map<TopicId, std::unordered_set<ClientId>> known_publishers_;
   /// Per-topic traffic as last reported to the controller (sorted by
   /// client) — the baseline delta reports diff against.
   std::unordered_map<TopicId, std::vector<core::PublisherStats>> last_traffic_;
-  int refresh_period_ = 16;
   std::uint64_t collections_ = 0;
-  std::size_t known_publisher_cap_ = 4096;
 };
 
 }  // namespace multipub::broker

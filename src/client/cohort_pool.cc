@@ -346,7 +346,8 @@ void CohortPool::attach(std::int32_t flock_id, RegionId region) {
     // good-bye standing for every member's.
     const RegionId old_region = flock.attachment;
     cohort.reconnects_w += weight;
-    clock_->schedule_after(handover_grace_ms_, [this, flock_id, old_region] {
+    clock_->schedule_after(wire::kHandoverGraceMs, [this, flock_id,
+                                                    old_region] {
       Flock& current = flocks_[static_cast<std::size_t>(flock_id)];
       if (current.attachment == old_region) {
         return;  // flapped back during the grace period: still attached

@@ -86,10 +86,6 @@ class CohortPool final : public net::CohortDirectory {
   /// a flock at weight 0 is retired from fan-out.
   void kill_client(ClientId client);
 
-  /// How long the old attachment outlives a reconnection.
-  void set_handover_grace(Millis grace_ms) { handover_grace_ms_ = grace_ms; }
-  [[nodiscard]] Millis handover_grace() const { return handover_grace_ms_; }
-
   /// The flock representing (client's cohort, topic); -1 when the client is
   /// in no cohort or not subscribed to the topic.
   [[nodiscard]] std::int32_t flock_of(ClientId client, TopicId topic) const;
@@ -308,7 +304,6 @@ class CohortPool final : public net::CohortDirectory {
   std::vector<Cohort> cohorts_;
   std::vector<Flock> flocks_;
   std::unordered_map<std::uint64_t, std::int32_t, CohortKeyHash> by_key_;
-  Millis handover_grace_ms_ = 1000.0;
   bool frozen_ = false;
   bool reliable_ = false;
   bool dedup_enabled_ = true;

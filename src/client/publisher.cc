@@ -1,6 +1,7 @@
 #include "client/publisher.h"
 
 #include "common/assert.h"
+#include "wire/topic_config.h"
 
 namespace multipub::client {
 
@@ -64,12 +65,7 @@ void Publisher::handle(const wire::Message& msg) {
   if (msg.type != wire::MessageType::kConfigUpdate) return;
   ++config_updates_;
 
-  core::TopicConfig config;
-  config.regions = msg.config_regions;
-  config.mode = msg.config_mode == wire::WireMode::kRouted
-                    ? core::DeliveryMode::kRouted
-                    : core::DeliveryMode::kDirect;
-
+  const core::TopicConfig config = wire::config_of(msg);
   const TopicId topic = msg.topic;
   if (configs_.find(topic) == configs_.end()) {
     configs_[topic] = config;  // first config: nothing to hand over from
@@ -77,7 +73,7 @@ void Publisher::handle(const wire::Message& msg) {
   }
   // Keep publishing on the old path for the grace window; remote
   // subscribers are still re-attaching (see class comment).
-  clock_->schedule_after(handover_grace_ms_, [this, topic, config] {
+  clock_->schedule_after(wire::kHandoverGraceMs, [this, topic, config] {
     configs_[topic] = config;
   });
 }

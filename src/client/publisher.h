@@ -5,7 +5,7 @@
 //   routed — one kPublish to the closest serving region only (Fig. 1c).
 //
 // Configuration updates arrive as kConfigUpdate messages from region
-// managers and take effect after a handover grace period: if the publisher
+// managers and take effect after wire::kHandoverGraceMs: if the publisher
 // adopted a shrunken region set immediately, publications would stop
 // reaching regions that remote subscribers are still re-attaching away from
 // and be lost. Keeping the old path alive for the grace window (mirroring
@@ -54,11 +54,6 @@ class Publisher {
   void probe_latencies(geo::RegionSet regions) { prober_.probe(regions); }
   [[nodiscard]] const LatencyProber& prober() const { return prober_; }
 
-  /// How long a kConfigUpdate is deferred before taking effect (first
-  /// configuration for a topic applies immediately).
-  void set_handover_grace(Millis grace_ms) { handover_grace_ms_ = grace_ms; }
-  [[nodiscard]] Millis handover_grace() const { return handover_grace_ms_; }
-
  private:
   void handle(const wire::Message& msg);
 
@@ -68,7 +63,6 @@ class Publisher {
   const geo::ClientLatencyMap* latencies_;
   LatencyProber prober_;
   std::unordered_map<TopicId, core::TopicConfig> configs_;
-  Millis handover_grace_ms_ = 1000.0;
   std::uint64_t published_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t config_updates_ = 0;

@@ -57,7 +57,7 @@ void Subscriber::attach(TopicId topic, RegionId region) {
     // publications still land somewhere that knows us.
     const RegionId old_region = it->second;
     ++reconnects_;
-    clock_->schedule_after(handover_grace_ms_, [this, topic, old_region] {
+    clock_->schedule_after(wire::kHandoverGraceMs, [this, topic, old_region] {
       const auto current = attachments_.find(topic);
       if (current != attachments_.end() && current->second == old_region) {
         return;  // flapped back during the grace period: still attached
@@ -168,12 +168,7 @@ void Subscriber::handle(const wire::Message& msg) {
     case wire::MessageType::kConfigUpdate: {
       // Only react if we are subscribed to the topic.
       if (attachments_.find(msg.topic) == attachments_.end()) break;
-      core::TopicConfig config;
-      config.regions = msg.config_regions;
-      config.mode = msg.config_mode == wire::WireMode::kRouted
-                        ? core::DeliveryMode::kRouted
-                        : core::DeliveryMode::kDirect;
-      attach(msg.topic, latencies_->closest_region(id_, config.regions));
+      attach(msg.topic, latencies_->closest_region(id_, msg.config_regions));
       break;
     }
     default:

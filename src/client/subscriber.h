@@ -6,11 +6,12 @@
 // moves there if it changed (paper §III-A5).
 //
 // Reconnection is make-before-break: the new subscription is opened
-// immediately and the old one is torn down only after a grace period, so
-// publications in flight during the handover are not lost; the overlap can
-// deliver a publication twice, which a (topic, publisher, seq) dedup filter
-// absorbs. Without this, a reconfiguration under live traffic silently
-// drops the messages that were racing the resubscription.
+// immediately and the old one is torn down only after
+// wire::kHandoverGraceMs, so publications in flight during the handover are
+// not lost; the overlap can deliver a publication twice, which a (topic,
+// publisher, seq) dedup filter absorbs. Without this, a reconfiguration
+// under live traffic silently drops the messages that were racing the
+// resubscription.
 #pragma once
 
 #include <unordered_map>
@@ -66,10 +67,6 @@ class Subscriber {
 
   /// Duplicates absorbed by the handover dedup filter.
   [[nodiscard]] std::uint64_t duplicate_count() const { return duplicates_; }
-
-  /// How long the old subscription is kept alive after a reconnection.
-  void set_handover_grace(Millis grace_ms) { handover_grace_ms_ = grace_ms; }
-  [[nodiscard]] Millis handover_grace() const { return handover_grace_ms_; }
 
   void clear_deliveries() { deliveries_.clear(); }
 
@@ -137,7 +134,6 @@ class Subscriber {
   std::unordered_map<TopicId,
                      std::unordered_map<ClientId, std::unordered_set<std::uint64_t>>>
       seen_;
-  Millis handover_grace_ms_ = 1000.0;
   std::uint64_t reconnects_ = 0;
   std::uint64_t duplicates_ = 0;
 

@@ -113,10 +113,6 @@ HeuristicResult HeuristicOptimizer::optimize(
   }
   ConfigEvaluation grown = *best_single;
   while (!grown.feasible) {
-    if (options.max_regions > 0 &&
-        grown.config.region_count() >= options.max_regions) {
-      break;
-    }
     std::optional<ConfigEvaluation> best_step;
     for (std::size_t i = 0; i < n; ++i) {
       if (!is_candidate(i)) continue;
@@ -142,23 +138,19 @@ HeuristicResult HeuristicOptimizer::optimize(
 
   // --- Pass B: SEED at the full region set and local-search down. The two
   //     directions get stuck in different local optima; tight-middle bounds
-  //     are typically won by the shrink direction. Skipped when max_regions
-  //     forbids the full seed. ---
-  if (options.max_regions == 0 ||
-      options.max_regions >= candidates.size()) {
-    std::optional<ConfigEvaluation> universe_best;
-    for (DeliveryMode mode : modes) {
-      auto eval = evaluate(
-          topic, {candidates,
-                  candidates.size() == 1 ? DeliveryMode::kDirect : mode});
-      ++evals;
-      if (!universe_best || Optimizer::better(eval, *universe_best)) {
-        universe_best = eval;
-      }
+  //     are typically won by the shrink direction. ---
+  std::optional<ConfigEvaluation> universe_best;
+  for (DeliveryMode mode : modes) {
+    auto eval = evaluate(
+        topic, {candidates,
+                candidates.size() == 1 ? DeliveryMode::kDirect : mode});
+    ++evals;
+    if (!universe_best || Optimizer::better(eval, *universe_best)) {
+      universe_best = eval;
     }
-    const ConfigEvaluation shrunk = local_search(*universe_best);
-    if (Optimizer::better(shrunk, best)) best = shrunk;
   }
+  const ConfigEvaluation shrunk = local_search(*universe_best);
+  if (Optimizer::better(shrunk, best)) best = shrunk;
 
   HeuristicResult result;
   result.config = best.config;

@@ -23,8 +23,6 @@ namespace multipub::core {
 
 struct HeuristicOptions {
   ModePolicy mode_policy = ModePolicy::kBoth;
-  /// Upper bound on the region set the GROW phase may build (0 = no bound).
-  int max_regions = 0;
   /// Restrict the search to these regions (empty = the whole catalog).
   /// Used for outage masking and pruning, mirroring OptimizerOptions.
   geo::RegionSet candidates;

@@ -1,7 +1,6 @@
 #include "core/topic_store.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/assert.h"
 
@@ -33,31 +32,6 @@ bool same_subscribers(const std::vector<SubscriberStats>& a,
   return true;
 }
 
-/// Relative change of one counter against its stored value.
-double relative_delta(std::uint64_t stored, std::uint64_t incoming) {
-  const double old_value = static_cast<double>(stored);
-  const double new_value = static_cast<double>(incoming);
-  return std::abs(new_value - old_value) / std::max(1.0, old_value);
-}
-
-/// True when `incoming` differs from `stored` only by per-publisher stat
-/// drift within `threshold` (same publisher set, both sorted by client).
-bool within_threshold(const std::vector<PublisherStats>& stored,
-                      const std::vector<PublisherStats>& incoming,
-                      double threshold) {
-  if (stored.size() != incoming.size()) return false;
-  for (std::size_t i = 0; i < stored.size(); ++i) {
-    if (stored[i].client != incoming[i].client) return false;
-    if (relative_delta(stored[i].msg_count, incoming[i].msg_count) >
-            threshold ||
-        relative_delta(stored[i].total_bytes, incoming[i].total_bytes) >
-            threshold) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 const char* to_string(DirtyReason reason) {
@@ -72,15 +46,6 @@ const char* to_string(DirtyReason reason) {
     case DirtyReason::kForced: return "forced";
   }
   return "?";
-}
-
-TopicStore::TopicStore(const TopicStoreOptions& options) : options_(options) {
-  MP_EXPECTS(options.traffic_threshold >= 0.0);
-}
-
-void TopicStore::set_traffic_threshold(double threshold) {
-  MP_EXPECTS(threshold >= 0.0);
-  options_.traffic_threshold = threshold;
 }
 
 TopicStore::Entry& TopicStore::entry_for(TopicId topic) {
@@ -140,19 +105,10 @@ void TopicStore::apply_report(RegionId region, TopicId topic,
   std::sort(incoming.subscribers.begin(), incoming.subscribers.end());
 
   const auto view_it = entry.views.find(region);
-  if (view_it != entry.views.end()) {
-    const RegionView& stored = view_it->second;
-    // Noise gate: drift of an unchanged publisher set within the threshold
-    // is rejected outright (the stored stats stay), keeping the stored state
-    // and the dirty set consistent with each other.
-    if (within_threshold(stored.publishers, incoming.publishers,
-                         options_.traffic_threshold)) {
-      incoming.publishers = stored.publishers;
-    }
-    if (same_publishers(incoming.publishers, stored.publishers) &&
-        incoming.subscribers == stored.subscribers) {
-      return;  // nothing changed for this region
-    }
+  if (view_it != entry.views.end() &&
+      same_publishers(incoming.publishers, view_it->second.publishers) &&
+      incoming.subscribers == view_it->second.subscribers) {
+    return;  // nothing changed for this region
   }
 
   if (incoming.publishers.empty() && incoming.subscribers.empty()) {

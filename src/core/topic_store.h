@@ -5,17 +5,16 @@
 // the optimizer for every topic each collection interval (§III-A4). That
 // makes round cost proportional to the TOTAL topic count. TopicStore keeps
 // each topic's aggregated TopicState across intervals and tracks which
-// topics actually CHANGED — publisher traffic beyond a configurable
-// relative threshold, subscriber membership, constraint, region
-// availability, or a latency estimate touching a participating client — so
-// a reconfiguration round only has to optimize the dirty ones.
+// topics actually CHANGED — publisher traffic, subscriber membership,
+// constraint, region availability, or a latency estimate touching a
+// participating client — so a reconfiguration round only has to optimize
+// the dirty ones.
 //
 // Invariant: a topic is marked dirty if and only if its stored state (or an
 // external input affecting its optimization) changed since the last
-// clear_dirty(). In particular, a traffic delta within the threshold is
-// REJECTED — the stored stats keep their previous values — so the store
-// never holds state the dirty set does not account for, and a full scan
-// over the store is bit-identical to an incremental scan at any threshold.
+// clear_dirty(), so the store never holds state the dirty set does not
+// account for, and a full scan over the store is bit-identical to an
+// incremental scan.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +32,7 @@ namespace multipub::core {
 /// for several reasons at once).
 enum class DirtyReason : unsigned {
   kNew = 1u << 0,           ///< first time the store sees the topic
-  kTraffic = 1u << 1,       ///< publisher stats changed beyond the threshold
+  kTraffic = 1u << 1,       ///< publisher stats changed
   kMembership = 1u << 2,    ///< subscriber joined or left
   kConstraint = 1u << 3,    ///< delivery constraint updated
   kAvailability = 1u << 4,  ///< candidate region set flipped
@@ -50,20 +49,8 @@ inline constexpr int kDirtyReasonCount = 8;
 
 [[nodiscard]] const char* to_string(DirtyReason reason);
 
-struct TopicStoreOptions {
-  /// Maximum relative per-publisher stats delta (on msg_count and
-  /// total_bytes, against the stored values) that is considered noise and
-  /// dropped without dirtying the topic. 0.0 = every change is significant.
-  /// Deltas accumulate against the stored stats, so sustained drift
-  /// eventually crosses any threshold.
-  double traffic_threshold = 0.0;
-};
-
 class TopicStore {
  public:
-  TopicStore() = default;
-  explicit TopicStore(const TopicStoreOptions& options);
-
   /// Registers (or updates) a topic's delivery constraint; dirties the topic
   /// (kConstraint) only when the constraint actually changed.
   void set_constraint(TopicId topic, const DeliveryConstraint& constraint);
@@ -110,10 +97,6 @@ class TopicStore {
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::size_t dirty_count() const { return dirty_.size(); }
-  [[nodiscard]] const TopicStoreOptions& options() const { return options_; }
-
-  /// Adjusts the traffic noise gate; applies to subsequent reports only.
-  void set_traffic_threshold(double threshold);
 
  private:
   /// What one region last told us about one topic (both vectors sorted).
@@ -137,7 +120,6 @@ class TopicStore {
                          const DirtyReason* override_reason = nullptr);
   void reindex_participants(TopicId topic, Entry& entry);
 
-  TopicStoreOptions options_;
   std::map<TopicId, Entry> entries_;  // ordered for deterministic rounds
   std::set<TopicId> dirty_;
   /// Reverse index for touch_client: which topics a client participates in.

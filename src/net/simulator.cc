@@ -498,20 +498,6 @@ void Simulator::schedule_delivery_after(Millis delay, DeliverySink& sink,
                        weight);
 }
 
-void Simulator::schedule_delivery_at(Millis t, DeliverySink& sink,
-                                     Address from, Address to,
-                                     const wire::Message& msg) {
-  schedule_delivery_at(t, sink, from, to, share(msg), msg.subscriber,
-                       msg.weight);
-}
-
-void Simulator::schedule_delivery_after(Millis delay, DeliverySink& sink,
-                                        Address from, Address to,
-                                        const wire::Message& msg) {
-  schedule_delivery_after(delay, sink, from, to, share(msg), msg.subscriber,
-                          msg.weight);
-}
-
 bool Simulator::step() {
   MP_EXPECTS(!sharded());  // the parallel plane runs whole windows
   EventStore& store = *stores_[0];

@@ -212,13 +212,6 @@ class Simulator : public Clock {
                                Address to, const SharedMessage& shared,
                                ClientId subscriber, std::uint32_t weight);
 
-  /// One-target forms: a fan-out of `msg` to `to` alone, keeping the
-  /// message's own subscriber and weight.
-  void schedule_delivery_at(Millis t, DeliverySink& sink, Address from,
-                            Address to, const wire::Message& msg);
-  void schedule_delivery_after(Millis delay, DeliverySink& sink, Address from,
-                               Address to, const wire::Message& msg);
-
   /// Executes the earliest pending event; returns false when idle. Only
   /// meaningful single-threaded (the sharded plane runs whole windows).
   bool step();

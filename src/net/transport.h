@@ -74,9 +74,9 @@ class SimTransport final : public Bus, public DeliverySink {
   void register_handler(Address address, Handler handler) override;
 
   /// Removes the handler for an address (deliveries to it count as
-  /// dropped_unregistered afterwards). Cohort mode uses this to take the
-  /// per-client subscriber handlers off the wire once the pool owns their
-  /// traffic. Same immutability rules as register_handler.
+  /// dropped_unregistered afterwards). CohortPool's destructor uses this to
+  /// take its flock handlers off the wire. Same immutability rules as
+  /// register_handler.
   void unregister_handler(Address address) override;
 
   /// Installs (or, with nullptr, clears) the directory that resolves cohort

@@ -4,6 +4,8 @@
 
 #include "common/assert.h"
 #include "common/logging.h"
+#include "node/world.h"
+#include "wire/topic_config.h"
 
 namespace multipub::node {
 
@@ -16,26 +18,7 @@ BrokerNode::BrokerNode(const sim::Scenario& scenario, RegionId self,
   transport_.set_self_node(self.value());
   transport_.set_catalog(&scenario.catalog);
   transport_.set_batching(options.transport_batching);
-  // Region -> its broker node; client/cohort -> its home region's node;
-  // anything else (the controller's own addresses never appear here) ->
-  // the controller.
-  const sim::Scenario* world = scenario_;
-  transport_.set_address_resolver([world](net::Address to) -> std::int32_t {
-    switch (to.kind) {
-      case net::Address::Kind::kRegion:
-        return to.id;
-      case net::Address::Kind::kClient:
-        if (to.id >= 0 &&
-            static_cast<std::size_t>(to.id) < world->population.size()) {
-          return world->population.home_region[static_cast<std::size_t>(
-              to.id)].value();
-        }
-        return net::SocketTransport::kControllerNode;
-      case net::Address::Kind::kCohort:
-        return net::SocketTransport::kControllerNode;
-    }
-    return net::SocketTransport::kControllerNode;
-  });
+  transport_.set_address_resolver(address_resolver(scenario));
 }
 
 bool BrokerNode::start() {
@@ -88,12 +71,8 @@ void BrokerNode::send_to_controller(wire::Message msg) {
   } else {
     msg.publisher = ClientId{self_.value()};
   }
-  // The controller has no region, so it listens one past the client id
-  // space: Address::client(population size). Both sides build the same
-  // world from the same spec, so the id agrees across processes.
-  const net::Address controller = net::Address::client(
-      ClientId{static_cast<std::int32_t>(scenario_->population.size())});
-  transport_.send(net::Address::region(self_), controller, std::move(msg));
+  transport_.send(net::Address::region(self_), controller_address(*scenario_),
+                  std::move(msg));
 }
 
 void BrokerNode::phase_done(Phase phase) {
@@ -150,12 +129,7 @@ void BrokerNode::handle(const wire::Message& msg) {
     case wire::MessageType::kConfigUpdate: {
       // The wire form of RegionManager::apply_config: the controller
       // deploys a changed decision to every region.
-      core::TopicConfig config;
-      config.regions = msg.config_regions;
-      config.mode = msg.config_mode == wire::WireMode::kRouted
-                        ? core::DeliveryMode::kRouted
-                        : core::DeliveryMode::kDirect;
-      manager_->apply_config(msg.topic, config);
+      manager_->apply_config(msg.topic, wire::config_of(msg));
       break;
     }
     default:
@@ -165,11 +139,7 @@ void BrokerNode::handle(const wire::Message& msg) {
 }
 
 void BrokerNode::on_attach(const wire::Message& msg) {
-  core::TopicConfig config;
-  config.regions = msg.config_regions;
-  config.mode = msg.config_mode == wire::WireMode::kRouted
-                    ? core::DeliveryMode::kRouted
-                    : core::DeliveryMode::kDirect;
+  const core::TopicConfig config = wire::config_of(msg);
   const TopicId topic = scenario_->topic.topic;
   manager_->broker().set_topic_config(topic, config);
   for (auto& publisher : publishers_) publisher->set_config(topic, config);

@@ -8,6 +8,7 @@
 #include "common/assert.h"
 #include "common/logging.h"
 #include "node/world.h"
+#include "wire/topic_config.h"
 
 namespace multipub::node {
 
@@ -28,23 +29,7 @@ ControllerNode::ControllerNode(const sim::Scenario& scenario,
   transport_.set_self_node(net::SocketTransport::kControllerNode);
   transport_.set_catalog(&scenario.catalog);
   transport_.set_batching(options.transport_batching);
-  const sim::Scenario* world = scenario_;
-  transport_.set_address_resolver([world](net::Address to) -> std::int32_t {
-    switch (to.kind) {
-      case net::Address::Kind::kRegion:
-        return to.id;
-      case net::Address::Kind::kClient:
-        if (to.id >= 0 &&
-            static_cast<std::size_t>(to.id) < world->population.size()) {
-          return world->population.home_region[static_cast<std::size_t>(
-              to.id)].value();
-        }
-        return net::SocketTransport::kControllerNode;
-      case net::Address::Kind::kCohort:
-        return net::SocketTransport::kControllerNode;
-    }
-    return net::SocketTransport::kControllerNode;
-  });
+  transport_.set_address_resolver(address_resolver(scenario));
 
   controller_ = std::make_unique<broker::Controller>(
       scenario.catalog, scenario.backbone, scenario.population.latencies);
@@ -54,11 +39,8 @@ ControllerNode::ControllerNode(const sim::Scenario& scenario,
 
 bool ControllerNode::start() {
   if (!transport_.listen(options_.listen_port)) return false;
-  // Brokers address the controller one past the client id space (see
-  // BrokerNode::send_to_controller).
   transport_.register_handler(
-      net::Address::client(
-          ClientId{static_cast<std::int32_t>(scenario_->population.size())}),
+      controller_address(*scenario_),
       [this](const wire::Message& msg) { handle(msg); });
   return true;
 }
@@ -70,8 +52,7 @@ std::uint64_t ControllerNode::heartbeats(RegionId region) const {
 }
 
 void ControllerNode::broadcast(const wire::Message& msg) {
-  const net::Address from = net::Address::client(
-      ClientId{static_cast<std::int32_t>(scenario_->population.size())});
+  const net::Address from = controller_address(*scenario_);
   for (std::size_t r = 0; r < region_count(); ++r) {
     transport_.send(from,
                     net::Address::region(RegionId{static_cast<int>(r)}),
@@ -104,9 +85,7 @@ void ControllerNode::handle(const wire::Message& msg) {
       welcome.type = wire::MessageType::kNodeWelcome;
       welcome.seq = kHeartbeatIntervalMs;
       welcome.key = options_.seed;
-      const net::Address from = net::Address::client(ClientId{
-          static_cast<std::int32_t>(scenario_->population.size())});
-      transport_.send(from,
+      transport_.send(controller_address(*scenario_),
                       net::Address::region(RegionId{static_cast<int>(*r)}),
                       std::move(welcome));
       break;
@@ -167,10 +146,7 @@ void ControllerNode::start_phase(Phase phase) {
   if (phase == Phase::kAttach) {
     const core::TopicConfig bootstrap = choose_bootstrap_config(*scenario_);
     start.topic = scenario_->topic.topic;
-    start.config_regions = bootstrap.regions;
-    start.config_mode = bootstrap.mode == core::DeliveryMode::kRouted
-                            ? wire::WireMode::kRouted
-                            : wire::WireMode::kDirect;
+    wire::set_config(start, bootstrap);
   }
   broadcast(start);
   step_ = phase == Phase::kShutdown ? Step::kWaitByes : Step::kWaitAcks;
@@ -210,11 +186,7 @@ void ControllerNode::on_all_reports() {
     wire::Message update;
     update.type = wire::MessageType::kConfigUpdate;
     update.topic = decision.topic;
-    update.config_regions = decision.result.config.regions;
-    update.config_mode =
-        decision.result.config.mode == core::DeliveryMode::kRouted
-            ? wire::WireMode::kRouted
-            : wire::WireMode::kDirect;
+    wire::set_config(update, decision.result.config);
     broadcast(update);
   }
 }
@@ -232,8 +204,7 @@ void ControllerNode::advance() {
         info.type = wire::MessageType::kPeerInfo;
         info.publisher = ClientId{static_cast<std::int32_t>(r)};
         info.seq = broker_port_[r];
-        const net::Address from = net::Address::client(ClientId{
-            static_cast<std::int32_t>(scenario_->population.size())});
+        const net::Address from = controller_address(*scenario_);
         for (std::size_t peer = 0; peer < region_count(); ++peer) {
           if (peer == r) continue;
           transport_.send(

@@ -56,4 +56,30 @@ core::TopicConfig choose_bootstrap_config(const sim::Scenario& scenario) {
   return optimizer.optimize(scenario.topic).config;
 }
 
+net::Address controller_address(const sim::Scenario& scenario) {
+  return net::Address::client(
+      ClientId{static_cast<std::int32_t>(scenario.population.size())});
+}
+
+net::SocketTransport::AddressResolver address_resolver(
+    const sim::Scenario& scenario) {
+  const sim::Scenario* world = &scenario;
+  return [world](net::Address to) -> std::int32_t {
+    switch (to.kind) {
+      case net::Address::Kind::kRegion:
+        return to.id;
+      case net::Address::Kind::kClient:
+        if (to.id >= 0 &&
+            static_cast<std::size_t>(to.id) < world->population.size()) {
+          return world->population.home_region[static_cast<std::size_t>(
+              to.id)].value();
+        }
+        return net::SocketTransport::kControllerNode;
+      case net::Address::Kind::kCohort:
+        return net::SocketTransport::kControllerNode;
+    }
+    return net::SocketTransport::kControllerNode;
+  };
+}
+
 }  // namespace multipub::node

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "core/optimizer.h"
+#include "net/socket_transport.h"
 #include "sim/scenario_file.h"
 
 namespace multipub::node {
@@ -27,6 +28,19 @@ namespace multipub::node {
 /// the optimizer's choice for the scenario's expected topic state. Pure
 /// function of the scenario, so controller and twin compute the same one.
 [[nodiscard]] core::TopicConfig choose_bootstrap_config(
+    const sim::Scenario& scenario);
+
+/// The controller's address. The controller has no region, so it listens
+/// one past the client id space: Address::client(population size). Every
+/// process builds the same world from the same spec, so the id agrees
+/// across processes.
+[[nodiscard]] net::Address controller_address(const sim::Scenario& scenario);
+
+/// Which node an address lives on: a region on its broker node, a client of
+/// the population on its home region's node, anything else (cohort
+/// addresses, controller_address()) on the controller. `scenario` must
+/// outlive the resolver.
+[[nodiscard]] net::SocketTransport::AddressResolver address_resolver(
     const sim::Scenario& scenario);
 
 }  // namespace multipub::node

@@ -90,6 +90,13 @@ enum class MessageType : std::uint8_t {
 
 [[nodiscard]] const char* to_string(MessageType type);
 
+/// The reconfiguration handover grace (paper §III-A5, DESIGN.md §6): after a
+/// kConfigUpdate, brokers keep fanning routed publications out to the old
+/// serving set, publishers keep publishing on the old path, and subscribers
+/// keep their old attachment for this long, so publications racing the
+/// reconfiguration still reach every subscriber.
+inline constexpr Millis kHandoverGraceMs = 1000.0;
+
 /// Delivery mode on the wire (mirrors core::DeliveryMode without creating a
 /// wire -> core dependency).
 enum class WireMode : std::uint8_t { kDirect = 0, kRouted = 1 };

@@ -117,16 +117,22 @@ TEST_F(RegionManagerTest, MembershipChangeTriggersDeltaReport) {
 }
 
 TEST_F(RegionManagerTest, PeriodicRefreshIsAFullSnapshot) {
-  manager_.set_refresh_period(2);
+  static_assert(RegionManager::kRefreshPeriod == 16);
   subscribe(TinyWorld::kNearA2, TopicId{0});
-  EXPECT_TRUE(manager_.collect_reports().full_snapshot);   // first
-  EXPECT_FALSE(manager_.collect_reports().full_snapshot);  // delta (empty)
-  const auto refresh = manager_.collect_reports();         // every 2nd
-  EXPECT_TRUE(refresh.full_snapshot);
-  // The refresh re-reports even unchanged topics, so the controller can
-  // reconcile.
-  ASSERT_EQ(refresh.reports.size(), 1u);
-  EXPECT_EQ(refresh.reports[0].subscribers.size(), 1u);
+  // Collections 1, 17 and 33 are full snapshots; the ones between are
+  // (empty) deltas.
+  for (int collection = 1; collection <= 33; ++collection) {
+    const auto batch = manager_.collect_reports();
+    const bool full = collection % 16 == 1;
+    EXPECT_EQ(batch.full_snapshot, full) << "collection " << collection;
+    // A refresh re-reports even unchanged topics, so the controller can
+    // reconcile.
+    ASSERT_EQ(batch.reports.size(), full ? 1u : 0u)
+        << "collection " << collection;
+    if (full) {
+      EXPECT_EQ(batch.reports[0].subscribers.size(), 1u);
+    }
+  }
 }
 
 TEST_F(RegionManagerTest, KnownPublishersArePrunedWhenTopicLeavesRegion) {
@@ -156,13 +162,12 @@ TEST_F(RegionManagerTest, KnownPublishersKeptWhileRegionStillServes) {
 }
 
 TEST_F(RegionManagerTest, KnownPublisherCapBoundsPerTopicMemory) {
-  manager_.set_known_publisher_cap(2);
-  publish(TinyWorld::kNearA, TopicId{0}, 10);
-  publish(TinyWorld::kNearA2, TopicId{0}, 10);
-  publish(TinyWorld::kNearB, TopicId{0}, 10);
-  publish(TinyWorld::kNearC, TopicId{0}, 10);
+  constexpr std::size_t kCap = RegionManager::kKnownPublisherCap;
+  for (std::size_t id = 0; id < kCap + 2; ++id) {
+    publish(ClientId{static_cast<std::int32_t>(id)}, TopicId{0}, 10);
+  }
   (void)manager_.collect_reports();
-  EXPECT_LE(manager_.known_publisher_count(TopicId{0}), 2u);
+  EXPECT_EQ(manager_.known_publisher_count(TopicId{0}), kCap);
 }
 
 TEST_F(RegionManagerTest, PublishersSortedDeterministically) {

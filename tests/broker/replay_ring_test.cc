@@ -153,7 +153,7 @@ class OneFlockDirectory : public net::CohortDirectory {
                                     TinyWorld::kNearB};
 };
 
-/// Broker-level replay service: a reliable broker with a tiny ring,
+/// Broker-level replay service: a reliable broker with the default ring,
 /// publications flowing through the normal kPublish path.
 class ReplayServiceTest : public ::testing::Test {
  protected:
@@ -162,7 +162,6 @@ class ReplayServiceTest : public ::testing::Test {
   ReplayServiceTest() : broker_(TinyWorld::kA, sim_, transport_) {
     transport_.set_cohort_directory(&directory_);
     broker_.set_reliable(true);
-    broker_.set_replay_capacity(4);
     geo::RegionSet serving;
     serving.add(TinyWorld::kA);
     broker_.set_topic_config(TopicId{0},
@@ -212,8 +211,9 @@ class ReplayServiceTest : public ::testing::Test {
 };
 
 TEST_F(ReplayServiceTest, RequestPastEvictionServesTheSurvivingSuffix) {
+  constexpr std::uint64_t kCapacity = ReplayRing::kDefaultCapacity;
   subscribe(TinyWorld::kNearA);
-  publish(10);  // capacity 4: ring retains seqs 7..10
+  publish(kCapacity + 6);  // the ring retains seqs 7..kCapacity + 6
   client_inbox_.clear();
 
   wire::Message req = replay_request(1);  // asks for evicted history
@@ -222,7 +222,7 @@ TEST_F(ReplayServiceTest, RequestPastEvictionServesTheSurvivingSuffix) {
   sim_.run();
 
   // The documented loss bound: only the retained suffix comes back.
-  ASSERT_EQ(client_inbox_.size(), 4u);
+  ASSERT_EQ(client_inbox_.size(), kCapacity);
   for (std::size_t i = 0; i < client_inbox_.size(); ++i) {
     EXPECT_EQ(client_inbox_[i].type, wire::MessageType::kReplayBatch);
     EXPECT_EQ(client_inbox_[i].delivery_seq, 7 + i);

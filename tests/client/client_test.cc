@@ -91,7 +91,6 @@ TEST_F(ClientEndpointTest, FirstConfigUpdateAppliesImmediately) {
 TEST_F(ClientEndpointTest, SubsequentConfigUpdateDefersByGrace) {
   Publisher pub(TinyWorld::kNearA, sim_, transport_, world_.clients);
   pub.set_config(TopicId{0}, config(0b001, core::DeliveryMode::kDirect));
-  pub.set_handover_grace(500.0);
 
   wire::Message update;
   update.type = wire::MessageType::kConfigUpdate;
@@ -101,8 +100,8 @@ TEST_F(ClientEndpointTest, SubsequentConfigUpdateDefersByGrace) {
   transport_.send(net::Address::region(TinyWorld::kA),
                   net::Address::client(TinyWorld::kNearA), update);
 
-  // Update arrives at L[nearA][A] = 10 ms; applies at 510 ms.
-  sim_.run_until(100.0);
+  // Update arrives at L[nearA][A] = 10 ms; applies one grace later.
+  sim_.run_until(wire::kHandoverGraceMs);
   EXPECT_EQ(pub.config(TopicId{0})->regions.mask(), 0b001u);
   sim_.run();
   EXPECT_EQ(pub.config(TopicId{0})->regions.mask(), 0b010u);

@@ -74,14 +74,6 @@ TEST_F(HeuristicTinyTest, CandidateMaskRestrictsTheSearch) {
   EXPECT_EQ(result.config.regions, geo::RegionSet::single(TinyWorld::kB));
 }
 
-TEST_F(HeuristicTinyTest, MaxRegionsCapsGrowth) {
-  const auto topic = testutil::tiny_topic(10, 1000, 75.0, 1.0);
-  HeuristicOptions capped;
-  capped.max_regions = 1;
-  const auto approx = heuristic_.optimize(topic, capped);
-  EXPECT_EQ(approx.config.region_count(), 1);
-}
-
 // Quality sweep on the EC2 world across experiment workloads and bounds:
 // the heuristic's cost must stay within 10 % of brute force whenever both
 // meet the constraint.

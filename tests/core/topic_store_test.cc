@@ -47,30 +47,15 @@ TEST(TopicStore, TrafficChangeDirtiesWithTrafficReason) {
   EXPECT_EQ(store.state(kTopic)->publishers[0].msg_count, 25u);
 }
 
-TEST(TopicStore, ThresholdRejectsSmallDriftAndKeepsStoredStats) {
-  TopicStore store({.traffic_threshold = 0.2});
+TEST(TopicStore, NewPublisherDirtiesWithTrafficReason) {
+  TopicStore store;
   store.apply_report(kEast, kTopic, {{kPub, 100, 10000}}, {kSub});
   store.clear_dirty();
-
-  // 10% drift on both counters: below the 20% gate — rejected outright.
-  store.apply_report(kEast, kTopic, {{kPub, 110, 11000}}, {kSub});
-  EXPECT_FALSE(store.dirty(kTopic));
-  EXPECT_EQ(store.state(kTopic)->publishers[0].msg_count, 100u);
-
-  // 50% drift: beyond the gate — accepted and dirtied.
-  store.apply_report(kEast, kTopic, {{kPub, 150, 15000}}, {kSub});
-  EXPECT_TRUE(store.dirty(kTopic));
-  EXPECT_EQ(store.state(kTopic)->publishers[0].msg_count, 150u);
-}
-
-TEST(TopicStore, ThresholdNeverGatesPublisherSetChanges) {
-  TopicStore store({.traffic_threshold = 0.5});
-  store.apply_report(kEast, kTopic, {{kPub, 100, 10000}}, {kSub});
-  store.clear_dirty();
-  // A new publisher is a set change, not drift: always significant.
+  // Same stats for the old publisher; the set itself grew.
   store.apply_report(kEast, kTopic, {{kPub, 100, 10000}, {kPub2, 1, 100}},
                      {kSub});
-  EXPECT_TRUE(store.dirty(kTopic));
+  EXPECT_NE(store.dirty_reasons(kTopic) & reason_bit(DirtyReason::kTraffic),
+            0u);
   EXPECT_EQ(store.state(kTopic)->publishers.size(), 2u);
 }
 

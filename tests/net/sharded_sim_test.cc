@@ -30,7 +30,9 @@ struct RingSink : DeliverySink {
     if (event.msg.seq < max_hops) {
       wire::Message msg = event.msg;
       ++msg.seq;
-      sim->schedule_delivery_after(next_latency, *this, self, next, msg);
+      sim->schedule_delivery_after(next_latency, *this, self, next,
+                                   sim->share(msg), msg.subscriber,
+                                   msg.weight);
     }
   }
 };
@@ -75,7 +77,8 @@ std::vector<std::vector<std::pair<std::uint64_t, Millis>>> run_ring(
   for (int r = 0; r < kRegions; ++r) {
     msg.seq = 0;
     sim.schedule_delivery_at(0.1 * r, sinks[r], sinks[(r + 3) % 4].self,
-                             sinks[r].self, msg);
+                             sinks[r].self, sim.share(msg), msg.subscriber,
+                             msg.weight);
   }
   sim.run();
   if (stats != nullptr) *stats = sim.window_stats();
@@ -203,7 +206,8 @@ TEST(ShardedSimulator, RepeatedRunsOverTheSameEngineTerminate) {
   for (int i = 0; i < 50; ++i) {
     sim.schedule_delivery_after(5.0 + i, sink,
                                 Address::region(RegionId{i % 4}),
-                                Address::region(RegionId{(i + 1) % 4}), msg);
+                                Address::region(RegionId{(i + 1) % 4}),
+                                sim.share(msg), msg.subscriber, msg.weight);
     sim.run();
   }
   EXPECT_EQ(sink.count, 50);
@@ -256,7 +260,8 @@ TEST(ShardedSimulator, RunUntilStopsAtBoundaryAndKeepsTheRemainder) {
   const Address from = Address::region(RegionId{0});
   const Address to = Address::region(RegionId{1});
   for (Millis t : {10.0, 50.0, 90.0}) {
-    sim.schedule_delivery_at(t, sink, from, to, msg);
+    sim.schedule_delivery_at(t, sink, from, to, sim.share(msg), msg.subscriber,
+                             msg.weight);
   }
   sim.run_until(50.0);
   EXPECT_EQ(sink.count, 2);  // boundary event included
@@ -285,9 +290,11 @@ TEST(ShardedSimulator, TinyLookaheadOnFarApartEventsStillTerminates) {
   CountingSink sink;
   wire::Message msg;
   sim.schedule_delivery_at(1.0e9, sink, Address::region(RegionId{0}),
-                           Address::region(RegionId{1}), msg);
+                           Address::region(RegionId{1}), sim.share(msg),
+                           msg.subscriber, msg.weight);
   sim.schedule_delivery_at(2.0e9, sink, Address::region(RegionId{1}),
-                           Address::region(RegionId{0}), msg);
+                           Address::region(RegionId{0}), sim.share(msg),
+                           msg.subscriber, msg.weight);
   sim.run();
   EXPECT_EQ(sink.count, 2);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0e9);

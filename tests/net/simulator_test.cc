@@ -142,7 +142,8 @@ TEST(Simulator, TypedDeliveriesInterleaveWithActionsInFifoOrder) {
     } else {
       msg.seq = static_cast<std::uint64_t>(i);
       sim.schedule_delivery_at(5.0, sink, Address::client(ClientId{0}),
-                               Address::client(ClientId{1}), msg);
+                               Address::client(ClientId{1}), sim.share(msg),
+                               msg.subscriber, msg.weight);
     }
   }
   sim.run();
@@ -171,7 +172,8 @@ TEST(Simulator, MixedEventOrderingPropertyRandomized) {
       } else {
         msg.seq = static_cast<std::uint64_t>(i);
         sim.schedule_delivery_at(t, sink, Address::client(ClientId{0}),
-                                 Address::client(ClientId{1}), msg);
+                                 Address::client(ClientId{1}),
+                                 sim.share(msg), msg.subscriber, msg.weight);
       }
     }
     sim.run();
@@ -201,7 +203,9 @@ TEST(Simulator, DeliveryHandlersCanScheduleFurtherEvents) {
       if (event.msg.seq < 3) {
         wire::Message next = event.msg;
         ++next.seq;
-        sim->schedule_delivery_after(1.0, *this, event.from, event.to, next);
+        sim->schedule_delivery_after(1.0, *this, event.from, event.to,
+                                     sim->share(next), next.subscriber,
+                                     next.weight);
         sim->schedule_after(0.5, [this] { order->push_back(-1); });
       }
     }
@@ -212,7 +216,8 @@ TEST(Simulator, DeliveryHandlersCanScheduleFurtherEvents) {
   wire::Message msg;
   msg.seq = 0;
   sim.schedule_delivery_at(0.0, sink, Address::client(ClientId{0}),
-                           Address::client(ClientId{1}), msg);
+                           Address::client(ClientId{1}), sim.share(msg),
+                           msg.subscriber, msg.weight);
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, -1, 1, -1, 2, -1, 3}));
 }
