@@ -12,6 +12,7 @@ Controller::Controller(const geo::RegionCatalog& catalog,
                        const geo::ClientLatencyMap& clients)
     : estimator_(clients),
       optimizer_(catalog, backbone, estimator_.map()),
+      engine_(optimizer_),
       heuristic_(catalog, backbone, estimator_.map()) {}
 
 void Controller::observe_latencies(RegionId region,
@@ -233,7 +234,7 @@ std::vector<Controller::Decision> Controller::reconfigure_impl(
       decision.result.constraint_met = h.constraint_met;
       decision.result.configs_evaluated = h.configs_evaluated;
     } else {
-      decision.result = optimizer_.optimize(state, effective);
+      decision.result = engine_.optimize(state, effective);
     }
     ++stats_.evaluated;
 

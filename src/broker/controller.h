@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "broker/region_manager.h"
+#include "core/evaluation_engine.h"
 #include "core/heuristic.h"
 #include "core/latency_estimator.h"
 #include "core/mitigation.h"
@@ -199,6 +200,9 @@ class Controller {
 
   core::LatencyEstimator estimator_;  // must precede the solvers (borrowed)
   core::Optimizer optimizer_;
+  /// The exhaustive solver's engine: its per-topic buffers and 2^k row
+  /// table are reused across topics and rounds.
+  core::EvaluationEngine engine_;
   core::HeuristicOptimizer heuristic_;
   Solver solver_ = Solver::kExhaustive;
   geo::RegionSet unavailable_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
+#include <cstring>
 
 #include "common/assert.h"
 
@@ -16,7 +16,6 @@ void EvaluationEngine::prepare(const TopicState& topic,
   MP_EXPECTS(!topic.subscribers.empty());
   MP_EXPECTS(topic.total_messages() > 0);
   topic_ = &topic;
-  options_ = options;
 
   const auto& catalog = optimizer_->cost_model().catalog();
   const auto& clients = optimizer_->delivery_model().clients();
@@ -51,22 +50,9 @@ void EvaluationEngine::prepare(const TopicState& topic,
     }
   }
 
-  const std::size_t S = topic.subscribers.size();
+  fold_subscribers(topic);
+  const std::size_t C = n_classes_;
   const std::size_t P = topic.publishers.size();
-
-  sub_lat_.resize(S * k_);
-  sub_weight_.resize(S);
-  sub_weight_sel_.resize(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    const auto& sub = topic.subscribers[s];
-    MP_EXPECTS(sub.selectivity > 0.0 && sub.selectivity <= 1.0);
-    const auto row = clients.row(sub.client);
-    for (std::size_t j = 0; j < k_; ++j) {
-      sub_lat_[s * k_ + j] = row[members_[j].index()];
-    }
-    sub_weight_[s] = sub.weight;
-    sub_weight_sel_[s] = static_cast<double>(sub.weight) * sub.selectivity;
-  }
 
   pub_lat_.resize(P * k_);
   active_pubs_.clear();
@@ -86,8 +72,8 @@ void EvaluationEngine::prepare(const TopicState& topic,
   // Preference lists: members sorted per client by (latency, region id) —
   // ascending member index breaks latency ties exactly like the reference
   // closest_region scan (members_ is ascending in global id).
-  pref_order_.resize((S + P) * k_);
-  sub_rank_.resize(S * k_);
+  pref_order_.resize((C + P) * k_);
+  class_rank_.resize(C * k_);
   pub_rank_.resize(P * k_);
   const auto build_pref = [this](const Millis* lat, std::uint16_t* order,
                                  std::uint16_t* rank) {
@@ -102,19 +88,20 @@ void EvaluationEngine::prepare(const TopicState& topic,
       rank[order[t]] = static_cast<std::uint16_t>(t);
     }
   };
-  for (std::size_t s = 0; s < S; ++s) {
-    build_pref(&sub_lat_[s * k_], &pref_order_[s * k_], &sub_rank_[s * k_]);
+  for (std::size_t c = 0; c < C; ++c) {
+    build_pref(&class_lat_[c * k_], &pref_order_[c * k_],
+               &class_rank_[c * k_]);
   }
   for (std::size_t p = 0; p < P; ++p) {
-    build_pref(&pub_lat_[p * k_], &pref_order_[(S + p) * k_],
+    build_pref(&pub_lat_[p * k_], &pref_order_[(C + p) * k_],
                &pub_rank_[p * k_]);
   }
 
   // Lattice-walk state.
-  cur_sub_member_.assign(S, -1);
+  cur_class_member_.assign(C, -1);
   cur_pub_member_.assign(P, -1);
-  contrib_d_.assign(S, 0);
-  contrib_r_.assign(S, 0);
+  contrib_d_.assign(C, 0);
+  contrib_r_.assign(C, 0);
   count_d_ = 0;
   count_r_ = 0;
   levels_.resize(k_);
@@ -122,31 +109,92 @@ void EvaluationEngine::prepare(const TopicState& topic,
   rows_.assign(std::size_t{1} << k_, Row{});
 }
 
+void EvaluationEngine::fold_subscribers(const TopicState& topic) {
+  const auto& clients = optimizer_->delivery_model().clients();
+  const std::size_t S = topic.subscribers.size();
+
+  // Members of a class contribute identical samples, so the percentile (a
+  // function of the weighted CDF) and the integer feasibility counts only
+  // see their summed weight. The egress counts are double sums of
+  // weight × selectivity, exact in any grouping only when every term is an
+  // integer — hence no folding once a subscriber is filtered.
+  const bool fold = std::all_of(
+      topic.subscribers.begin(), topic.subscribers.end(),
+      [](const SubscriberStats& sub) { return sub.selectivity == 1.0; });
+  std::size_t slot_mask = 0;
+  if (fold) {
+    const std::size_t n_slots = std::bit_ceil(2 * S);
+    fold_slots_.assign(n_slots, 0);
+    slot_mask = n_slots - 1;
+  }
+
+  class_lat_.resize(S * k_);
+  class_weight_.clear();
+  class_weight_sel_.clear();
+  std::size_t C = 0;
+  for (const SubscriberStats& sub : topic.subscribers) {
+    MP_EXPECTS(sub.selectivity > 0.0 && sub.selectivity <= 1.0);
+    // Gather the row into the next free class slot; it stays there only
+    // when no existing class has the same bits.
+    Millis* lat = &class_lat_[C * k_];
+    const auto row = clients.row(sub.client);
+    for (std::size_t j = 0; j < k_; ++j) {
+      lat[j] = row[members_[j].index()];
+    }
+    if (fold) {
+      std::uint64_t h = 0;
+      for (std::size_t j = 0; j < k_; ++j) {
+        h = (h ^ std::bit_cast<std::uint64_t>(lat[j])) * 0x9E3779B97F4A7C15ull;
+        h ^= h >> 29;
+      }
+      h ^= h >> 32;
+      std::size_t i = static_cast<std::size_t>(h) & slot_mask;
+      while (fold_slots_[i] != 0 &&
+             std::memcmp(&class_lat_[(fold_slots_[i] - 1) * k_], lat,
+                         k_ * sizeof(Millis)) != 0) {
+        i = (i + 1) & slot_mask;
+      }
+      if (fold_slots_[i] != 0) {
+        // Integer terms: this double sum is exact whatever the grouping.
+        const std::size_t c = fold_slots_[i] - 1;
+        class_weight_[c] += sub.weight;
+        class_weight_sel_[c] += static_cast<double>(sub.weight);
+        continue;
+      }
+      fold_slots_[i] = static_cast<std::uint32_t>(C + 1);
+    }
+    class_weight_.push_back(sub.weight);
+    class_weight_sel_.push_back(static_cast<double>(sub.weight) *
+                                sub.selectivity);
+    ++C;
+  }
+  n_classes_ = C;
+}
+
 void EvaluationEngine::push_member(std::size_t j, Level& level) {
-  level.moved_subs.clear();
-  level.moved_subs_old_member.clear();
-  level.moved_subs_old_contrib_d.clear();
-  level.moved_subs_old_contrib_r.clear();
+  level.moved_classes.clear();
+  level.moved_classes_old_member.clear();
+  level.moved_classes_old_contrib_d.clear();
+  level.moved_classes_old_contrib_r.clear();
   level.moved_pubs.clear();
   level.moved_pubs_old_member.clear();
   level.pubs_moved = false;
   level.old_count_d = count_d_;
   level.old_count_r = count_r_;
 
-  const std::size_t S = topic_->subscribers.size();
-  for (std::size_t s = 0; s < S; ++s) {
-    const std::int32_t cur = cur_sub_member_[s];
-    // The added region steals the subscriber only when it is strictly
-    // preferred (lower (latency, id) rank) over the current serving region.
-    if (cur >= 0 && sub_rank_[s * k_ + j] >=
-                        sub_rank_[s * k_ + static_cast<std::size_t>(cur)]) {
+  for (std::size_t c = 0; c < n_classes_; ++c) {
+    const std::int32_t cur = cur_class_member_[c];
+    // The added region steals the class only when it is strictly preferred
+    // (lower (latency, id) rank) over the current serving region.
+    if (cur >= 0 && class_rank_[c * k_ + j] >=
+                        class_rank_[c * k_ + static_cast<std::size_t>(cur)]) {
       continue;
     }
-    level.moved_subs.push_back(static_cast<std::uint32_t>(s));
-    level.moved_subs_old_member.push_back(cur);
-    level.moved_subs_old_contrib_d.push_back(contrib_d_[s]);
-    level.moved_subs_old_contrib_r.push_back(contrib_r_[s]);
-    cur_sub_member_[s] = static_cast<std::int32_t>(j);
+    level.moved_classes.push_back(static_cast<std::uint32_t>(c));
+    level.moved_classes_old_member.push_back(cur);
+    level.moved_classes_old_contrib_d.push_back(contrib_d_[c]);
+    level.moved_classes_old_contrib_r.push_back(contrib_r_[c]);
+    cur_class_member_[c] = static_cast<std::int32_t>(j);
   }
   if (routed_tracked_) {
     const std::size_t P = topic_->publishers.size();
@@ -163,49 +211,48 @@ void EvaluationEngine::push_member(std::size_t j, Level& level) {
     level.pubs_moved = !level.moved_pubs.empty();
   }
 
-  // Direct-mode feasibility weight: per-subscriber contributions only change
-  // for stolen subscribers (the publisher leg L[P][R^S] depends on R^S only).
-  for (const std::uint32_t s : level.moved_subs) {
-    const Millis sl = sub_lat_[s * k_ + j];
-    std::uint64_t c = 0;
+  // Direct-mode feasibility weight: per-class contributions only change for
+  // stolen classes (the publisher leg L[P][R^S] depends on R^S only).
+  for (const std::uint32_t c : level.moved_classes) {
+    const Millis sl = class_lat_[c * k_ + j];
+    std::uint64_t n = 0;
     for (std::size_t a = 0; a < active_pubs_.size(); ++a) {
       const std::size_t p = active_pubs_[a];
-      c += active_msgs_[a] * ((pub_lat_[p * k_ + j] + sl) <= max_t_ ? 1u : 0u);
+      n += active_msgs_[a] * ((pub_lat_[p * k_ + j] + sl) <= max_t_ ? 1u : 0u);
     }
-    const std::uint64_t nc = c * sub_weight_[s];
-    count_d_ += nc - contrib_d_[s];
-    contrib_d_[s] = nc;
+    const std::uint64_t nc = n * class_weight_[c];
+    count_d_ += nc - contrib_d_[c];
+    contrib_d_[c] = nc;
   }
 
   if (!routed_tracked_) return;
-  const auto routed_contrib = [this](std::size_t s) {
-    const auto ms = static_cast<std::size_t>(cur_sub_member_[s]);
-    const Millis sl = sub_lat_[s * k_ + ms];
-    std::uint64_t c = 0;
+  const auto routed_contrib = [this](std::size_t c) {
+    const auto ms = static_cast<std::size_t>(cur_class_member_[c]);
+    const Millis sl = class_lat_[c * k_ + ms];
+    std::uint64_t n = 0;
     for (std::size_t a = 0; a < active_pubs_.size(); ++a) {
       const std::size_t p = active_pubs_[a];
       const auto mp = static_cast<std::size_t>(cur_pub_member_[p]);
       const Millis v =
           (pub_lat_[p * k_ + mp] + backbone_mm_[mp * k_ + ms]) + sl;
-      c += active_msgs_[a] * (v <= max_t_ ? 1u : 0u);
+      n += active_msgs_[a] * (v <= max_t_ ? 1u : 0u);
     }
-    return c * sub_weight_[s];
+    return n * class_weight_[c];
   };
   if (level.pubs_moved) {
-    // A publisher changed home: every (publisher, subscriber) pair may have
+    // A publisher changed home: every (publisher, class) pair may have
     // changed — recompute all routed contributions (integer sums, exact).
     level.contrib_r_snapshot.assign(contrib_r_.begin(), contrib_r_.end());
     count_r_ = 0;
-    const std::size_t S2 = topic_->subscribers.size();
-    for (std::size_t s = 0; s < S2; ++s) {
-      contrib_r_[s] = routed_contrib(s);
-      count_r_ += contrib_r_[s];
+    for (std::size_t c = 0; c < n_classes_; ++c) {
+      contrib_r_[c] = routed_contrib(c);
+      count_r_ += contrib_r_[c];
     }
   } else {
-    for (const std::uint32_t s : level.moved_subs) {
-      const std::uint64_t nc = routed_contrib(s);
-      count_r_ += nc - contrib_r_[s];
-      contrib_r_[s] = nc;
+    for (const std::uint32_t c : level.moved_classes) {
+      const std::uint64_t nc = routed_contrib(c);
+      count_r_ += nc - contrib_r_[c];
+      contrib_r_[c] = nc;
     }
   }
 }
@@ -213,12 +260,12 @@ void EvaluationEngine::push_member(std::size_t j, Level& level) {
 void EvaluationEngine::pop_member(Level& level) {
   count_d_ = level.old_count_d;
   count_r_ = level.old_count_r;
-  for (std::size_t i = 0; i < level.moved_subs.size(); ++i) {
-    const std::uint32_t s = level.moved_subs[i];
-    cur_sub_member_[s] = level.moved_subs_old_member[i];
-    contrib_d_[s] = level.moved_subs_old_contrib_d[i];
+  for (std::size_t i = 0; i < level.moved_classes.size(); ++i) {
+    const std::uint32_t c = level.moved_classes[i];
+    cur_class_member_[c] = level.moved_classes_old_member[i];
+    contrib_d_[c] = level.moved_classes_old_contrib_d[i];
     if (routed_tracked_ && !level.pubs_moved) {
-      contrib_r_[s] = level.moved_subs_old_contrib_r[i];
+      contrib_r_[c] = level.moved_classes_old_contrib_r[i];
     }
   }
   if (routed_tracked_ && level.pubs_moved) {
@@ -233,14 +280,14 @@ void EvaluationEngine::pop_member(Level& level) {
 void EvaluationEngine::emit_row(std::uint64_t mask, int size) {
   Row& row = rows_[mask];
 
-  // Eq. 3 subscriber egress, accumulated exactly like CostModel::
-  // cost_breakdown: per-region N_S in subscriber order, then one term per
-  // subset member in ascending region id.
+  // Eq. 3 subscriber egress, accumulated like CostModel::cost_breakdown:
+  // per-region N_S, then one term per subset member in ascending region id.
+  // Unfolded classes add in subscriber order as the reference does; folded
+  // ones add integers, whose double sums are exact in any order.
   std::fill(egress_counts_.begin(), egress_counts_.end(), 0.0);
-  const std::size_t S = topic_->subscribers.size();
-  for (std::size_t s = 0; s < S; ++s) {
-    egress_counts_[static_cast<std::size_t>(cur_sub_member_[s])] +=
-        sub_weight_sel_[s];
+  for (std::size_t c = 0; c < n_classes_; ++c) {
+    egress_counts_[static_cast<std::size_t>(cur_class_member_[c])] +=
+        class_weight_sel_[c];
   }
   double egress = 0.0;
   for (std::size_t j = 0; j < k_; ++j) {
@@ -296,7 +343,7 @@ Millis EvaluationEngine::percentile_of(std::uint64_t mask, DeliveryMode mode) {
 
   // Resolve serving members with a first-hit scan over each client's
   // preference list (identical assignment to closest_region).
-  const std::size_t S = topic_->subscribers.size();
+  const std::size_t C = n_classes_;
   const auto first_member = [this, mask](std::size_t pref_row) {
     const std::uint16_t* order = &pref_order_[pref_row * k_];
     for (std::size_t t = 0; t < k_; ++t) {
@@ -310,23 +357,23 @@ Millis EvaluationEngine::percentile_of(std::uint64_t mask, DeliveryMode mode) {
   if (mode == DeliveryMode::kDirect) {
     for (std::size_t a = 0; a < active_pubs_.size(); ++a) {
       const std::size_t p = active_pubs_[a];
-      for (std::size_t s = 0; s < S; ++s) {
-        const std::size_t ms = first_member(s);
+      for (std::size_t c = 0; c < C; ++c) {
+        const std::size_t ms = first_member(c);
         samples_.push_back(
-            {pub_lat_[p * k_ + ms] + sub_lat_[s * k_ + ms],
-             active_msgs_[a] * sub_weight_[s]});
+            {pub_lat_[p * k_ + ms] + class_lat_[c * k_ + ms],
+             active_msgs_[a] * class_weight_[c]});
       }
     }
   } else {
     for (std::size_t a = 0; a < active_pubs_.size(); ++a) {
       const std::size_t p = active_pubs_[a];
-      const std::size_t mp = first_member(S + p);
-      for (std::size_t s = 0; s < S; ++s) {
-        const std::size_t ms = first_member(s);
+      const std::size_t mp = first_member(C + p);
+      for (std::size_t c = 0; c < C; ++c) {
+        const std::size_t ms = first_member(c);
         samples_.push_back(
             {(pub_lat_[p * k_ + mp] + backbone_mm_[mp * k_ + ms]) +
-                 sub_lat_[s * k_ + ms],
-             active_msgs_[a] * sub_weight_[s]});
+                 class_lat_[c * k_ + ms],
+             active_msgs_[a] * class_weight_[c]});
       }
     }
   }

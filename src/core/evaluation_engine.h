@@ -25,15 +25,24 @@
 //     buffer) runs only for configurations that survive the cost-first
 //     feasible ordering, or — when nothing is feasible — for the
 //     latency-minimizing fallback scan, not for all configurations.
+//  5. Exact latency classes. Subscribers whose latency rows are bitwise
+//     equal over the candidate members share preference ranks, serving
+//     region and delivery samples, so prepare folds them into one class
+//     weighted by their summed integer weights; steps 1–4 then run per
+//     class. Folding is exact only while every weight × selectivity is an
+//     integer, so it happens when all subscribers have selectivity 1.0;
+//     otherwise each subscriber is its own class, in subscriber order.
 //
 // Selection replays the reference enumeration order (subset mask ascending,
 // direct before routed), so tie-breaks resolve identically and the result is
 // bit-identical to the reference path. See DESIGN.md §"Evaluation engine".
 //
 // An engine instance owns reusable scratch buffers and is therefore NOT
-// thread-safe; create one engine per worker thread (optimize_topics does).
+// thread-safe; create one engine per worker thread (optimize_topics does;
+// broker::Controller keeps one for all its rounds).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -58,6 +67,9 @@ class EvaluationEngine {
   [[nodiscard]] std::vector<ConfigEvaluation> evaluate_all(
       const TopicState& topic, const OptimizerOptions& options = {});
 
+  /// Subscriber classes of the last topic evaluated (step 5 above).
+  [[nodiscard]] std::size_t class_count() const { return n_classes_; }
+
  private:
   /// One lattice node × delivery mode; indexed by local subset mask.
   struct Row {
@@ -71,10 +83,10 @@ class EvaluationEngine {
 
   /// Per-level undo record for the depth-first lattice walk.
   struct Level {
-    std::vector<std::uint32_t> moved_subs;
-    std::vector<std::int32_t> moved_subs_old_member;
-    std::vector<std::uint64_t> moved_subs_old_contrib_d;
-    std::vector<std::uint64_t> moved_subs_old_contrib_r;
+    std::vector<std::uint32_t> moved_classes;
+    std::vector<std::int32_t> moved_classes_old_member;
+    std::vector<std::uint64_t> moved_classes_old_contrib_d;
+    std::vector<std::uint64_t> moved_classes_old_contrib_r;
     std::vector<std::uint32_t> moved_pubs;
     std::vector<std::int32_t> moved_pubs_old_member;
     std::vector<std::uint64_t> contrib_r_snapshot;
@@ -84,6 +96,8 @@ class EvaluationEngine {
   };
 
   void prepare(const TopicState& topic, const OptimizerOptions& options);
+  /// Folds the subscribers into classes (fills class_lat_ / class_weight_*).
+  void fold_subscribers(const TopicState& topic);
   void walk_lattice();
   void push_member(std::size_t j, Level& level);
   void pop_member(Level& level);
@@ -98,7 +112,6 @@ class EvaluationEngine {
 
   // ---- per-topic state (rebuilt by prepare, buffers reused) ----
   const TopicState* topic_ = nullptr;
-  OptimizerOptions options_;
   std::vector<RegionId> members_;        ///< candidate regions, ascending id
   std::size_t k_ = 0;                    ///< members_.size()
   bool routed_tracked_ = false;          ///< policy permits routed rows
@@ -108,19 +121,22 @@ class EvaluationEngine {
   std::vector<double> beta_;             ///< $/byte per member
   std::vector<double> alpha_;
   std::vector<Millis> backbone_mm_;      ///< k×k member-to-member one-way
-  std::vector<Millis> sub_lat_;          ///< S×k client→member latency
+  std::size_t n_classes_ = 0;            ///< C, subscriber classes
+  std::vector<Millis> class_lat_;        ///< C×k client→member latency
   std::vector<Millis> pub_lat_;          ///< P×k
-  std::vector<std::uint16_t> sub_rank_;  ///< S×k preference rank of member
+  std::vector<std::uint16_t> class_rank_;  ///< C×k preference rank of member
   std::vector<std::uint16_t> pub_rank_;
   std::vector<std::uint32_t> active_pubs_;  ///< indices with msg_count > 0
   std::vector<std::uint64_t> active_msgs_;  ///< their msg_count
-  std::vector<std::uint64_t> sub_weight_;
-  std::vector<double> sub_weight_sel_;   ///< weight × selectivity
+  std::vector<std::uint64_t> class_weight_;   ///< summed subscriber weight
+  std::vector<double> class_weight_sel_;      ///< weight × selectivity
+  /// Open-addressing row table for the fold: class index + 1, 0 = empty.
+  std::vector<std::uint32_t> fold_slots_;
 
   // ---- lattice walk state ----
-  std::vector<std::int32_t> cur_sub_member_;  ///< -1 = unassigned
+  std::vector<std::int32_t> cur_class_member_;  ///< -1 = unassigned
   std::vector<std::int32_t> cur_pub_member_;
-  std::vector<std::uint64_t> contrib_d_;  ///< per-sub weight ≤ max, direct
+  std::vector<std::uint64_t> contrib_d_;  ///< per-class weight ≤ max, direct
   std::vector<std::uint64_t> contrib_r_;
   std::uint64_t count_d_ = 0;
   std::uint64_t count_r_ = 0;
@@ -130,7 +146,7 @@ class EvaluationEngine {
 
   // ---- lazy-percentile scratch ----
   std::vector<WeightedSample> samples_;
-  std::vector<std::uint16_t> pref_order_;  ///< S+P × k members by preference
+  std::vector<std::uint16_t> pref_order_;  ///< C+P × k members by preference
 };
 
 }  // namespace multipub::core

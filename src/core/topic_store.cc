@@ -1,6 +1,8 @@
 #include "core/topic_store.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 
 #include "common/assert.h"
 
@@ -143,28 +145,42 @@ void TopicStore::touch_client(ClientId client, DirtyReason reason) {
 
 void TopicStore::rebuild_aggregate(TopicId topic, Entry& entry,
                                    const DirtyReason* override_reason) {
-  // Cross-region merge. Publishers are deduplicated by taking the maximum
-  // msg_count per client: under direct delivery every serving region
-  // observes the same publications.
-  std::map<ClientId, PublisherStats> merged_pubs;
-  std::set<ClientId> merged_subs;
-  for (const auto& [region, view] : entry.views) {
-    for (const PublisherStats& pub : view.publishers) {
-      const auto [it, inserted] = merged_pubs.try_emplace(pub.client, pub);
-      if (!inserted && pub.msg_count > it->second.msg_count) {
-        it->second = pub;
-      }
-    }
-    merged_subs.insert(view.subscribers.begin(), view.subscribers.end());
-  }
-
+  // Cross-region merge of the views, each already sorted by client, in
+  // region order. std::inplace_merge is stable, so a client's publisher
+  // entries stay in region order: the first region's entry stands and a
+  // later one replaces it only with a strictly larger msg_count (under
+  // direct delivery every serving region observes the same publications).
+  const auto by_client = [](const PublisherStats& a, const PublisherStats& b) {
+    return a.client < b.client;
+  };
   std::vector<PublisherStats> new_pubs;
-  new_pubs.reserve(merged_pubs.size());
-  for (const auto& [client, stats] : merged_pubs) {
-    new_pubs.push_back(stats);
+  std::vector<ClientId> merged_subs;
+  for (const auto& [region, view] : entry.views) {
+    const auto pubs_mid = static_cast<std::ptrdiff_t>(new_pubs.size());
+    new_pubs.insert(new_pubs.end(), view.publishers.begin(),
+                    view.publishers.end());
+    std::inplace_merge(new_pubs.begin(), new_pubs.begin() + pubs_mid,
+                       new_pubs.end(), by_client);
+    const auto subs_mid = static_cast<std::ptrdiff_t>(merged_subs.size());
+    merged_subs.insert(merged_subs.end(), view.subscribers.begin(),
+                       view.subscribers.end());
+    std::inplace_merge(merged_subs.begin(), merged_subs.begin() + subs_mid,
+                       merged_subs.end());
   }
-  const std::vector<SubscriberStats> new_subs = unit_subscribers(
-      std::vector<ClientId>(merged_subs.begin(), merged_subs.end()));
+  std::size_t kept = 0;
+  for (const PublisherStats& pub : new_pubs) {
+    if (kept > 0 && new_pubs[kept - 1].client == pub.client) {
+      if (pub.msg_count > new_pubs[kept - 1].msg_count) {
+        new_pubs[kept - 1] = pub;
+      }
+    } else {
+      new_pubs[kept++] = pub;
+    }
+  }
+  new_pubs.resize(kept);
+  merged_subs.erase(std::unique(merged_subs.begin(), merged_subs.end()),
+                    merged_subs.end());
+  std::vector<SubscriberStats> new_subs = unit_subscribers(merged_subs);
 
   const bool traffic_changed =
       !same_publishers(entry.aggregate.publishers, new_pubs);
@@ -173,7 +189,7 @@ void TopicStore::rebuild_aggregate(TopicId topic, Entry& entry,
   if (!traffic_changed && !membership_changed) return;
 
   entry.aggregate.publishers = std::move(new_pubs);
-  entry.aggregate.subscribers = new_subs;
+  entry.aggregate.subscribers = std::move(new_subs);
   reindex_participants(topic, entry);
 
   if (override_reason != nullptr) {
@@ -185,25 +201,38 @@ void TopicStore::rebuild_aggregate(TopicId topic, Entry& entry,
 }
 
 void TopicStore::reindex_participants(TopicId topic, Entry& entry) {
-  std::set<ClientId> now;
+  // Both aggregate lists are sorted by client and duplicate-free, so the
+  // participants are one linear merge, and only the clients that left or
+  // joined touch the reverse index.
+  std::vector<ClientId> now;
+  now.reserve(entry.aggregate.publishers.size() +
+              entry.aggregate.subscribers.size());
   for (const PublisherStats& pub : entry.aggregate.publishers) {
-    now.insert(pub.client);
+    now.push_back(pub.client);
   }
+  const auto subs_mid = static_cast<std::ptrdiff_t>(now.size());
   for (const SubscriberStats& sub : entry.aggregate.subscribers) {
-    now.insert(sub.client);
+    now.push_back(sub.client);
   }
+  std::inplace_merge(now.begin(), now.begin() + subs_mid, now.end());
+  now.erase(std::unique(now.begin(), now.end()), now.end());
 
-  for (ClientId former : entry.participants) {
-    if (now.count(former) > 0) continue;
+  std::vector<ClientId> left;
+  std::set_difference(entry.participants.begin(), entry.participants.end(),
+                      now.begin(), now.end(), std::back_inserter(left));
+  for (ClientId former : left) {
     const auto it = client_topics_.find(former);
     if (it == client_topics_.end()) continue;
     it->second.erase(topic);
     if (it->second.empty()) client_topics_.erase(it);
   }
-  for (ClientId client : now) {
+  std::vector<ClientId> joined;
+  std::set_difference(now.begin(), now.end(), entry.participants.begin(),
+                      entry.participants.end(), std::back_inserter(joined));
+  for (ClientId client : joined) {
     client_topics_[client].insert(topic);
   }
-  entry.participants.assign(now.begin(), now.end());
+  entry.participants = std::move(now);
 }
 
 const TopicState* TopicStore::state(TopicId topic) const {

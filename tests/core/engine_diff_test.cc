@@ -4,6 +4,7 @@
 // that deliberately provoke every tie-break (equal latencies, equal tariffs,
 // infeasible fallbacks, pruned candidate sets, all three mode policies).
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -206,6 +207,138 @@ TEST(EngineDiffTest, ReusedEngineCarriesNoStateBetweenTopics) {
     EXPECT_EQ(got.cost, ref.cost);
     EXPECT_EQ(got.constraint_met, ref.constraint_met);
   }
+}
+
+// Cohort-shaped topics: every subscriber copies one of a few archetype rows,
+// the way a cohort plane's clients share a latency row. Some copies differ
+// from their archetype only outside the candidate set (they fold over a
+// pruned set), a few differ inside it (they must not fold), and weights
+// include 0.
+struct CohortCase {
+  RandomWorld world;
+  TopicState topic;
+  OptimizerOptions options;
+  std::size_t distinct_rows = 0;  ///< distinct full rows among subscribers
+};
+
+CohortCase make_cohort_case(Rng& rng, bool one_filtered, ModePolicy policy) {
+  CohortCase out;
+  const auto n_regions = static_cast<std::size_t>(rng.uniform_int(2, 6));
+  const auto n_archetypes = static_cast<std::size_t>(rng.uniform_int(1, 4));
+  out.world = make_world(rng, n_regions, n_archetypes);
+  out.topic = make_topic(rng, out.world);
+
+  out.options.mode_policy = policy;
+  geo::RegionSet candidates = geo::RegionSet::universe(n_regions);
+  if (rng.uniform_int(0, 1) == 0) {
+    candidates = {};
+    for (std::size_t j = 0; j < n_regions; ++j) {
+      if (rng.uniform_int(0, 1) == 0) {
+        candidates.add(RegionId{static_cast<std::int32_t>(j)});
+      }
+    }
+    if (candidates.empty()) candidates.add(RegionId{0});
+    out.options.candidates = candidates;
+  }
+
+  std::set<std::vector<Millis>> rows;
+  out.topic.subscribers.clear();
+  const std::int64_t n_subs = rng.uniform_int(8, 60);
+  for (std::int64_t s = 0; s < n_subs; ++s) {
+    const ClientId archetype = out.world.client_ids[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n_archetypes) - 1))];
+    const auto base = out.world.clients.row(archetype);
+    std::vector<Millis> row(base.begin(), base.end());
+    const auto column = static_cast<std::int32_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n_regions) - 1));
+    switch (rng.uniform_int(0, 7)) {
+      case 0:
+      case 1:
+      case 2:  // equal only over the candidates when the column is pruned
+        if (!candidates.contains(RegionId{column})) row[column] += 5.0;
+        break;
+      case 3:  // a genuinely different row
+        row[column] += 5.0;
+        break;
+      default:
+        break;
+    }
+    rows.insert(row);
+    SubscriberStats sub;
+    sub.client = out.world.clients.add_client(row);
+    sub.weight = static_cast<std::uint32_t>(rng.uniform_int(0, 5));
+    out.topic.subscribers.push_back(sub);
+  }
+  if (out.topic.total_subscriber_weight() == 0) {
+    out.topic.subscribers[0].weight = 2;
+  }
+  if (one_filtered) {
+    out.topic.subscribers[static_cast<std::size_t>(
+                              rng.uniform_int(0, n_subs - 1))]
+        .selectivity = rng.uniform(0.1, 0.9);
+  }
+  out.distinct_rows = rows.size();
+  return out;
+}
+
+// The engine folds subscribers with bitwise-equal rows over the candidates
+// into weighted classes; the result must stay bit-identical to the
+// per-subscriber reference for optimize and evaluate_all, under every mode
+// policy, and folding must really happen (also over pruned-only equality)
+// unless a subscriber is filtered.
+TEST(EngineDiffTest, LatencyClassesMatchReference) {
+  Rng rng(20261019);
+  std::size_t unfiltered_subs = 0;
+  std::size_t unfiltered_classes = 0;
+  std::size_t folded_past_full_rows = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    for (const bool one_filtered : {false, true}) {
+      for (const ModePolicy policy :
+           {ModePolicy::kDirectOnly, ModePolicy::kRoutedOnly,
+            ModePolicy::kBoth}) {
+        const CohortCase c = make_cohort_case(rng, one_filtered, policy);
+        const Optimizer optimizer(c.world.catalog, c.world.backbone,
+                                  c.world.clients);
+        EvaluationEngine engine(optimizer);
+        SCOPED_TRACE("trial " + std::to_string(trial) + " filtered " +
+                     std::to_string(one_filtered) + " policy " +
+                     std::to_string(static_cast<int>(policy)));
+
+        const OptimizerResult ref =
+            optimizer.optimize_reference(c.topic, c.options);
+        const OptimizerResult got = engine.optimize(c.topic, c.options);
+        EXPECT_EQ(got.config, ref.config);
+        EXPECT_EQ(got.percentile, ref.percentile);
+        EXPECT_EQ(got.cost, ref.cost);
+        EXPECT_EQ(got.constraint_met, ref.constraint_met);
+        EXPECT_EQ(got.configs_evaluated, ref.configs_evaluated);
+
+        const std::size_t subs = c.topic.subscribers.size();
+        if (one_filtered) {
+          EXPECT_EQ(engine.class_count(), subs);
+        } else {
+          EXPECT_LE(engine.class_count(), c.distinct_rows);
+          unfiltered_subs += subs;
+          unfiltered_classes += engine.class_count();
+          if (engine.class_count() < c.distinct_rows) ++folded_past_full_rows;
+        }
+
+        const auto ref_rows =
+            optimizer.evaluate_all_reference(c.topic, c.options);
+        const auto got_rows = engine.evaluate_all(c.topic, c.options);
+        ASSERT_EQ(got_rows.size(), ref_rows.size());
+        for (std::size_t i = 0; i < ref_rows.size(); ++i) {
+          SCOPED_TRACE("row " + ref_rows[i].config.to_string());
+          EXPECT_EQ(got_rows[i].config, ref_rows[i].config);
+          EXPECT_EQ(got_rows[i].percentile, ref_rows[i].percentile);
+          EXPECT_EQ(got_rows[i].cost, ref_rows[i].cost);
+          EXPECT_EQ(got_rows[i].feasible, ref_rows[i].feasible);
+        }
+      }
+    }
+  }
+  EXPECT_LT(unfiltered_classes * 2, unfiltered_subs);
+  EXPECT_GT(folded_past_full_rows, 0u);
 }
 
 }  // namespace
