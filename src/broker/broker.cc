@@ -286,7 +286,7 @@ void Broker::reset_traffic() { traffic_.clear(); }
 
 bool Broker::first_sight(TopicId topic, ClientId publisher,
                          std::uint64_t seq) {
-  return seen_[topic][publisher].insert(seq).second;
+  return seen_[topic][publisher].insert(seq);
 }
 
 bool Broker::has_accepted(TopicId topic, ClientId publisher,
@@ -294,7 +294,7 @@ bool Broker::has_accepted(TopicId topic, ClientId publisher,
   const auto topic_it = seen_.find(topic);
   if (topic_it == seen_.end()) return false;
   const auto pub_it = topic_it->second.find(publisher);
-  return pub_it != topic_it->second.end() && pub_it->second.count(seq) > 0;
+  return pub_it != topic_it->second.end() && pub_it->second.contains(seq);
 }
 
 ReplayRing& Broker::ring(TopicId topic) {

@@ -157,12 +157,12 @@ class Broker {
   /// current state_seq to the standby so a diverged replica resyncs.
   void sync_with_peers();
 
-  /// Publications this broker has accepted, per topic and publisher. The
-  /// chaos harness walks a crashing broker's set to find publications no
-  /// surviving broker holds (the zero-loss oracle's crash-loss exemption).
-  using PublicationsSeen = std::unordered_map<
-      TopicId,
-      std::unordered_map<ClientId, std::unordered_set<std::uint64_t>>>;
+  /// Publications this broker has accepted, per topic and publisher, as
+  /// runs of seqs. The chaos harness walks a crashing broker's runs to find
+  /// publications no surviving broker holds (the zero-loss oracle's
+  /// crash-loss exemption).
+  using PublicationsSeen =
+      std::unordered_map<TopicId, std::unordered_map<ClientId, SeqSet>>;
   [[nodiscard]] const PublicationsSeen& seen_publications() const {
     return seen_;
   }
@@ -240,12 +240,9 @@ class Broker {
   /// delivery sequence stamp.
   std::unordered_map<TopicId, ReplayRing> rings_;
   /// Publications already accepted, per topic: publisher -> publication
-  /// seqs. Replayed/caught-up copies dedup against this before re-entering
-  /// the ring.
-  std::unordered_map<
-      TopicId,
-      std::unordered_map<ClientId, std::unordered_set<std::uint64_t>>>
-      seen_;
+  /// seqs, held as runs (one per stream plus one per hole). Replayed and
+  /// caught-up copies dedup against this before re-entering the ring.
+  PublicationsSeen seen_;
   /// Cumulative-ack cursor over each peer's ring numbering, keyed by (peer
   /// region value, topic value); absent = unknown (first contact or
   /// post-crash), whose fresh cursor asks a sync pass to replay the peer's

@@ -1,10 +1,32 @@
 #include "client/cohort_pool.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/assert.h"
 
 namespace multipub::client {
+namespace {
+
+std::uint64_t stream_key(TopicId topic, ClientId publisher) {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(topic.value()))
+             << 32 |
+         static_cast<std::uint32_t>(publisher.value());
+}
+
+bool holds(const std::vector<ClientId>& holders, ClientId member) {
+  return std::find(holders.begin(), holders.end(), member) != holders.end();
+}
+
+/// Holders are distinct, so fewer holders than members cannot cover them.
+bool held_by_all(std::span<const ClientId> members,
+                 const std::vector<ClientId>& holders) {
+  return holders.size() >= members.size() &&
+         std::all_of(members.begin(), members.end(),
+                     [&](ClientId member) { return holds(holders, member); });
+}
+
+}  // namespace
 
 CohortPool::CohortPool(ClientRegistry& registry, TopicSetPool& topic_sets,
                        net::Clock& clock, net::Bus& bus)
@@ -154,8 +176,7 @@ void CohortPool::append_delivery_times(ClientId member,
     } else if (arrival.fresh.empty()) {
       covered = true;  // whole-flock arrival: every member got a copy
     } else {
-      covered = std::find(arrival.fresh.begin(), arrival.fresh.end(),
-                          member) != arrival.fresh.end();
+      covered = holds(arrival.fresh, member);
     }
     if (covered) out.push_back(arrival.value);
   }
@@ -183,6 +204,14 @@ std::uint64_t CohortPool::total_delivery_weight() const {
   std::uint64_t total = 0;
   for (const Cohort& cohort : cohorts_) total += cohort.total_deliveries_w;
   return total;
+}
+
+std::size_t CohortPool::seen_run_count() const {
+  std::size_t runs = 0;
+  for (const Cohort& cohort : cohorts_) {
+    for (const auto& [key, seen] : cohort.seen) runs += seen.whole.run_count();
+  }
+  return runs;
 }
 
 std::uint32_t CohortPool::flock_weight(std::int32_t flock) const {
@@ -420,62 +449,50 @@ void CohortPool::on_deliver(std::int32_t flock_id, const wire::Message& msg,
   Cohort& cohort = cohorts_[static_cast<std::size_t>(flock.cohort)];
   if (reliable_) track_sequence(flock_id, msg, replayed);
   const Millis value = clock_->now() - msg.published_at;
-  const SeenKey key{msg.topic.value(), msg.publisher.value(), msg.seq};
-  SeenEntry& entry = cohort.seen[key];
+  const auto duplicate = [&](std::uint32_t weight) {
+    cohort.duplicates_w += weight;
+    if (!dedup_enabled_) cohort.recorded_duplicates_w += weight;
+  };
+  const auto arrive = [&](ClientId member, std::uint32_t weight,
+                          std::vector<ClientId> fresh) {
+    cohort.arrivals.push_back(
+        {msg.topic, member, weight, value, std::move(fresh)});
+    cohort.interval_deliveries_w += weight;
+    cohort.total_deliveries_w += weight;
+  };
+  SeenStream& seen = cohort.seen[stream_key(msg.topic, msg.publisher)];
   if (!msg.subscriber.valid()) {
     // Whole-flock delivery standing for msg.weight per-member copies.
-    if (entry.all) {
-      cohort.duplicates_w += msg.weight;
-      if (!dedup_enabled_) cohort.recorded_duplicates_w += msg.weight;
-      return;
+    if (!seen.whole.insert(msg.seq)) return duplicate(msg.weight);
+    const auto split = seen.split.find(msg.seq);
+    if (split == seen.split.end()) {
+      return arrive(ClientId::invalid(), msg.weight, {});
     }
-    if (entry.members.empty()) {
-      cohort.arrivals.push_back(
-          {msg.topic, ClientId::invalid(), msg.weight, value, {}});
-      cohort.interval_deliveries_w += msg.weight;
-      cohort.total_deliveries_w += msg.weight;
-    } else {
-      // A fault already split this publication: the listed members hold
-      // their first copy, everyone else sees theirs now.
-      std::vector<ClientId> fresh;
-      for (const ClientId member : cohort.members) {
-        if (std::find(entry.members.begin(), entry.members.end(), member) ==
-            entry.members.end()) {
-          fresh.push_back(member);
-        }
-      }
-      const auto fresh_count = static_cast<std::uint32_t>(fresh.size());
-      if (msg.weight > fresh_count) {
-        cohort.duplicates_w += msg.weight - fresh_count;
-        if (!dedup_enabled_) {
-          cohort.recorded_duplicates_w += msg.weight - fresh_count;
-        }
-      }
-      if (fresh_count > 0) {
-        cohort.interval_deliveries_w += fresh_count;
-        cohort.total_deliveries_w += fresh_count;
-        cohort.arrivals.push_back({msg.topic, ClientId::invalid(),
-                                   fresh_count, value, std::move(fresh)});
-      }
+    // A fault already split this publication: the listed members hold
+    // their first copy, everyone else sees theirs now.
+    std::vector<ClientId> fresh;
+    std::copy_if(
+        cohort.members.begin(), cohort.members.end(), std::back_inserter(fresh),
+        [&](ClientId member) { return !holds(split->second, member); });
+    seen.split.erase(split);
+    const auto fresh_count = static_cast<std::uint32_t>(fresh.size());
+    if (msg.weight > fresh_count) duplicate(msg.weight - fresh_count);
+    if (fresh_count > 0) {
+      arrive(ClientId::invalid(), fresh_count, std::move(fresh));
     }
-    entry.all = true;
-    entry.members.clear();
-    entry.members.shrink_to_fit();
     return;
   }
   // Fault-split weight-1 copy addressed to one member.
   const ClientId member = msg.subscriber;
-  if (entry.all ||
-      std::find(entry.members.begin(), entry.members.end(), member) !=
-          entry.members.end()) {
-    cohort.duplicates_w += 1;
-    if (!dedup_enabled_) cohort.recorded_duplicates_w += 1;
-    return;
+  if (seen.whole.contains(msg.seq)) return duplicate(1);
+  std::vector<ClientId>& holders = seen.split[msg.seq];
+  if (holds(holders, member)) return duplicate(1);
+  holders.push_back(member);
+  arrive(member, 1, {});
+  if (held_by_all(cohort.members, holders)) {
+    seen.whole.insert(msg.seq);
+    seen.split.erase(msg.seq);
   }
-  entry.members.push_back(member);
-  cohort.arrivals.push_back({msg.topic, member, 1, value, {}});
-  cohort.interval_deliveries_w += 1;
-  cohort.total_deliveries_w += 1;
 }
 
 // ---- Reliable delivery (DESIGN.md §15)
@@ -610,21 +627,12 @@ std::uint64_t CohortPool::flock_complete_count(std::int32_t flock_id) const {
   const Flock& flock = flocks_[static_cast<std::size_t>(flock_id)];
   const Cohort& cohort = cohorts_[static_cast<std::size_t>(flock.cohort)];
   std::uint64_t count = 0;
-  for (const auto& [key, entry] : cohort.seen) {
-    if (key.topic != flock.topic.value()) continue;
-    if (entry.all) {
-      ++count;
-      continue;
+  for (const auto& [key, seen] : cohort.seen) {
+    if (key >> 32 != static_cast<std::uint32_t>(flock.topic.value())) continue;
+    count += seen.whole.size();
+    for (const auto& [seq, holders] : seen.split) {
+      if (held_by_all(cohort.members, holders)) ++count;
     }
-    bool covers = true;
-    for (const ClientId member : cohort.members) {
-      if (std::find(entry.members.begin(), entry.members.end(), member) ==
-          entry.members.end()) {
-        covers = false;
-        break;
-      }
-    }
-    if (covers) ++count;
   }
   return count;
 }

@@ -14,6 +14,8 @@
 // on kConfigUpdate (grace-delayed weighted unsubscribe, flap-back safe),
 // dedups handover duplicates per (topic, publisher, seq), and records
 // weighted arrivals that expand back to exact per-member delivery times.
+// The dedup book is one SeqSet of runs per (topic, publisher), so it stays
+// flat however long the stream runs (DESIGN.md §12).
 //
 // Equivalence envelope (the differential tests pin it): membership churn
 // happens at drained quiescent points; fault rules never name clients as
@@ -94,7 +96,7 @@ class CohortPool final : public net::CohortDirectory {
   [[nodiscard]] RegionId attached_region(ClientId client, TopicId topic) const;
 
   /// Drops the recorded arrivals of every cohort (start of an interval);
-  /// the handover dedup memory persists, like Subscriber's.
+  /// the dedup book, one run per stream plus one per hole, is kept.
   void clear_arrivals();
 
   /// Appends the member's delivery times since clear_arrivals(), in arrival
@@ -109,6 +111,8 @@ class CohortPool final : public net::CohortDirectory {
   [[nodiscard]] std::uint64_t interval_delivery_weight() const;
   /// Weighted deliveries recorded over the pool's lifetime.
   [[nodiscard]] std::uint64_t total_delivery_weight() const;
+  /// Runs held by every cohort's dedup book.
+  [[nodiscard]] std::size_t seen_run_count() const;
 
   // ---- Reliable delivery (DESIGN.md §15), mirroring Subscriber exactly.
 
@@ -155,26 +159,17 @@ class CohortPool final : public net::CohortDirectory {
   [[nodiscard]] RegionId flock_attachment(std::int32_t flock) const override;
 
  private:
-  struct SeenKey {
-    std::int32_t topic;
-    std::int32_t publisher;
-    std::uint64_t seq;
-    friend bool operator==(const SeenKey&, const SeenKey&) = default;
-  };
-  struct SeenKeyHash {
-    std::size_t operator()(const SeenKey& k) const {
-      std::uint64_t h = static_cast<std::uint32_t>(k.topic);
-      h = h * 0x9e3779b97f4a7c15ULL ^ static_cast<std::uint32_t>(k.publisher);
-      h = h * 0x9e3779b97f4a7c15ULL ^ k.seq;
-      return static_cast<std::size_t>(h * 0x9e3779b97f4a7c15ULL);
+  struct KeyHash {
+    std::size_t operator()(std::uint64_t k) const {
+      return static_cast<std::size_t>(k * 0x9e3779b97f4a7c15ULL);
     }
   };
-  /// Which members already received a given publication. `all` short-cuts
-  /// the common case (every whole-flock delivery); the member list only
-  /// fills when a fault split a delivery into per-member copies.
-  struct SeenEntry {
-    bool all = false;
-    std::vector<ClientId> members;
+  /// Dedup book of one (topic, publisher) stream: the seqs every member
+  /// holds, and per fault-split publication the members holding a copy
+  /// (until every member does; then it joins `whole`).
+  struct SeenStream {
+    SeqSet whole;
+    std::unordered_map<std::uint64_t, std::vector<ClientId>> split;
   };
 
   /// One recorded delivery. member == invalid: a whole-flock arrival
@@ -216,7 +211,7 @@ class CohortPool final : public net::CohortDirectory {
     /// (topic, flock id), ascending by topic.
     std::vector<std::pair<TopicId, std::int32_t>> flocks;
     std::vector<Arrival> arrivals;
-    std::unordered_map<SeenKey, SeenEntry, SeenKeyHash> seen;
+    std::unordered_map<std::uint64_t, SeenStream, KeyHash> seen;
     // Shard-local counters (a cohort's flocks all live on the home
     // region's shard); summed by the accessors at drained points.
     std::uint64_t reconnects_w = 0;
@@ -236,11 +231,6 @@ class CohortPool final : public net::CohortDirectory {
     wire::KeyFilter filter;
   };
 
-  struct CohortKeyHash {
-    std::size_t operator()(std::uint64_t k) const {
-      return static_cast<std::size_t>(k * 0x9e3779b97f4a7c15ULL);
-    }
-  };
   [[nodiscard]] static std::uint64_t cohort_key(RegionId home,
                                                 std::int32_t topic_set,
                                                 std::int32_t row) {
@@ -303,7 +293,7 @@ class CohortPool final : public net::CohortDirectory {
   net::Bus* bus_;
   std::vector<Cohort> cohorts_;
   std::vector<Flock> flocks_;
-  std::unordered_map<std::uint64_t, std::int32_t, CohortKeyHash> by_key_;
+  std::unordered_map<std::uint64_t, std::int32_t, KeyHash> by_key_;
   bool frozen_ = false;
   bool reliable_ = false;
   bool dedup_enabled_ = true;

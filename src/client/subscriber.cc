@@ -143,7 +143,7 @@ void Subscriber::on_publication(const wire::Message& msg, bool replayed) {
   // the (topic, publisher, seq) identity — never the broker's ring stamp —
   // decides what counts, so a rebuilt broker's fresh numbering cannot turn
   // old publications into new ones.
-  if (!seen_[msg.topic][msg.publisher].insert(msg.seq).second) {
+  if (!seen_[msg.topic][msg.publisher].insert(msg.seq)) {
     ++duplicates_;
     if (dedup_enabled_) return;
     ++recorded_duplicates_;  // negative hook: let the oracle see it

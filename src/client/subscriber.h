@@ -11,11 +11,12 @@
 // not lost; the overlap can deliver a publication twice, which a (topic,
 // publisher, seq) dedup filter absorbs. Without this, a reconfiguration
 // under live traffic silently drops the messages that were racing the
-// resubscription.
+// resubscription. The filter keeps one SeqSet per (topic, publisher): a
+// stream received without holes is one run of seqs, so the dedup memory
+// stays flat over a long run (DESIGN.md §12).
 #pragma once
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "client/probing.h"
@@ -67,6 +68,8 @@ class Subscriber {
 
   /// Duplicates absorbed by the handover dedup filter.
   [[nodiscard]] std::uint64_t duplicate_count() const { return duplicates_; }
+  /// The dedup filter, read-only: per topic and publisher, the seqs held.
+  [[nodiscard]] const auto& seen_publications() const { return seen_; }
 
   void clear_deliveries() { deliveries_.clear(); }
 
@@ -131,9 +134,7 @@ class Subscriber {
   std::vector<DeliveryRecord> deliveries_;
   /// Dedup filter: per (topic, publisher), the publication seqs already
   /// delivered (handover overlap can deliver twice).
-  std::unordered_map<TopicId,
-                     std::unordered_map<ClientId, std::unordered_set<std::uint64_t>>>
-      seen_;
+  std::unordered_map<TopicId, std::unordered_map<ClientId, SeqSet>> seen_;
   std::uint64_t reconnects_ = 0;
   std::uint64_t duplicates_ = 0;
 

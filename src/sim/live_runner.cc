@@ -1,5 +1,6 @@
 #include "sim/live_runner.h"
 
+#include <algorithm>
 #include <array>
 #include <map>
 
@@ -96,19 +97,20 @@ void LiveSystem::record_crash_losses(RegionId region) {
   const broker::Broker& crashing = region_manager(region).broker();
   for (const auto& [topic, by_publisher] : crashing.seen_publications()) {
     for (const auto& [publisher, seqs] : by_publisher) {
-      for (const std::uint64_t seq : seqs) {
-        bool survives = false;
-        for (const auto& manager : managers_) {
-          if (manager->region() == region ||
-              transport_->region_down(manager->region())) {
-            continue;  // a down broker's state is already gone
-          }
-          if (manager->broker().has_accepted(topic, publisher, seq)) {
-            survives = true;
-            break;
-          }
+      const auto survives = [&](std::uint64_t seq) {
+        return std::any_of(
+            managers_.begin(), managers_.end(), [&](const auto& m) {
+              // A down broker's state is already gone.
+              return m->region() != region &&
+                     !transport_->region_down(m->region()) &&
+                     m->broker().has_accepted(topic, publisher, seq);
+            });
+      };
+      for (const SeqSet::Run& run : seqs.runs()) {
+        for (std::uint64_t seq = run.first;; ++seq) {
+          if (!survives(seq)) ++crash_lost_[topic.value()];
+          if (seq == run.last) break;
         }
-        if (!survives) ++crash_lost_[topic.value()];
       }
     }
   }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -11,6 +12,163 @@
 
 namespace multipub {
 namespace {
+
+constexpr std::uint64_t kMaxSeq = std::numeric_limits<std::uint64_t>::max();
+
+/// The maximal runs of an ordered set: the canonical form SeqSet must hold.
+std::vector<SeqSet::Run> runs_of(const std::set<std::uint64_t>& seqs) {
+  std::vector<SeqSet::Run> runs;
+  for (const std::uint64_t s : seqs) {
+    if (!runs.empty() && runs.back().last != kMaxSeq &&
+        runs.back().last + 1 == s) {
+      runs.back().last = s;
+    } else {
+      runs.push_back({s, s});
+    }
+  }
+  return runs;
+}
+
+std::vector<SeqSet::Run> runs_of(const SeqSet& set) {
+  return {set.runs().begin(), set.runs().end()};
+}
+
+/// The cumulative-ack cursor as first written, over an ordered set of
+/// parked receipts: the reference the run-backed SeqTracker must match.
+class SetBackedTracker {
+ public:
+  void record(std::uint64_t s) {
+    if (s < next_) return;
+    if (s == next_) {
+      ++next_;
+      while (!pending_.empty() && *pending_.begin() == next_) {
+        pending_.erase(pending_.begin());
+        ++next_;
+      }
+    } else {
+      pending_.insert(s);
+    }
+    if (s > high_) high_ = s;
+  }
+  [[nodiscard]] bool opens_gap(std::uint64_t s) const {
+    return s > high_ + 1 && s > next_;
+  }
+  [[nodiscard]] std::uint64_t next() const { return next_; }
+  [[nodiscard]] std::uint64_t high() const { return high_; }
+  [[nodiscard]] bool contiguous() const { return next_ == high_ + 1; }
+  void reset() {
+    next_ = 1;
+    high_ = 0;
+    pending_.clear();
+  }
+  friend bool operator==(const SetBackedTracker& a,
+                         const SetBackedTracker& b) {
+    return a.next_ == b.next_ && a.high_ == b.high_ &&
+           a.pending_ == b.pending_;
+  }
+
+ private:
+  std::uint64_t next_ = 1;
+  std::uint64_t high_ = 0;
+  std::set<std::uint64_t> pending_;
+};
+
+TEST(SeqSet, HoldsZeroAndTheLargestSeqAsOrdinaryMembers) {
+  SeqSet set;
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_TRUE(set.contains(0));
+  EXPECT_TRUE(set.insert(kMaxSeq));
+  EXPECT_TRUE(set.insert(kMaxSeq - 1));
+  EXPECT_FALSE(set.insert(kMaxSeq));
+  EXPECT_TRUE(set.contains(kMaxSeq));
+  EXPECT_FALSE(set.contains(1));
+  EXPECT_EQ(set.size(), 3u);
+  EXPECT_EQ(runs_of(set), (std::vector<SeqSet::Run>{{0, 0},
+                                                    {kMaxSeq - 1, kMaxSeq}}));
+}
+
+TEST(SeqSet, MergesAdjacentRunsAndKeepsHolesApart) {
+  SeqSet set;
+  for (const std::uint64_t s : {10u, 11u, 12u}) EXPECT_TRUE(set.insert(s));
+  EXPECT_EQ(set.run_count(), 1u);  // a stream joined mid-way: one run
+  EXPECT_TRUE(set.insert(14));      // a hole at 13
+  EXPECT_TRUE(set.insert(5));       // below the first run
+  EXPECT_TRUE(set.insert(1000000));  // far above the last
+  EXPECT_EQ(runs_of(set), (std::vector<SeqSet::Run>{
+                              {5, 5}, {10, 12}, {14, 14}, {1000000, 1000000}}));
+  EXPECT_TRUE(set.insert(13));  // fills the hole: two runs become one
+  EXPECT_TRUE(set.insert(9));   // extends a run downwards
+  EXPECT_TRUE(set.insert(6));   // extends a run upwards
+  EXPECT_EQ(runs_of(set), (std::vector<SeqSet::Run>{
+                              {5, 6}, {9, 14}, {1000000, 1000000}}));
+  EXPECT_FALSE(set.insert(12));  // a replayed duplicate changes nothing
+  EXPECT_EQ(set.size(), 9u);
+  set.clear();
+  EXPECT_EQ(set, SeqSet{});
+}
+
+TEST(SeqSet, MatchesAnOrderedSetOracleAtRandom) {
+  Rng rng(20261019);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Dense trials exercise merges; sparse ones jump far above and below.
+    const bool dense = trial % 2 == 0;
+    const std::int64_t span = dense ? 48 : 1 << 20;
+    const std::uint64_t base =
+        trial % 5 == 0 ? 0
+                       : static_cast<std::uint64_t>(rng.uniform_int(0, 1000));
+    SeqSet set;
+    std::set<std::uint64_t> oracle;
+    for (int step = 0; step < 120; ++step) {
+      std::uint64_t s = base + static_cast<std::uint64_t>(
+                                   rng.uniform_int(0, span));
+      if (step % 40 == 39) s = kMaxSeq - static_cast<std::uint64_t>(step % 3);
+      ASSERT_EQ(set.insert(s), oracle.insert(s).second) << s;
+      ASSERT_EQ(set.size(), oracle.size());
+      const std::uint64_t probe =
+          base + static_cast<std::uint64_t>(rng.uniform_int(0, span + 2));
+      for (const std::uint64_t p : {probe, s - 1, s + 1}) {
+        ASSERT_EQ(set.contains(p), oracle.count(p) != 0) << p;
+      }
+    }
+    ASSERT_EQ(runs_of(set), runs_of(oracle));
+  }
+}
+
+TEST(SeqTracker, MatchesTheSetBackedReferenceAtRandom) {
+  Rng rng(20261020);
+  for (int trial = 0; trial < 100; ++trial) {
+    SeqTracker a;
+    SeqTracker b;
+    SetBackedTracker ref_a;
+    SetBackedTracker ref_b;
+    for (int step = 0; step < 200; ++step) {
+      // Mostly near the frontier (in-order, small gaps, replays of holes),
+      // sometimes 0 (unstamped) or a reset (a re-attach).
+      const std::int64_t op = rng.uniform_int(0, 99);
+      SeqTracker& t = op % 2 == 0 ? a : b;
+      SetBackedTracker& ref = op % 2 == 0 ? ref_a : ref_b;
+      if (op < 2) {
+        t.reset();
+        ref.reset();
+        continue;
+      }
+      const std::uint64_t s =
+          op < 5 ? 0
+                 : static_cast<std::uint64_t>(rng.uniform_int(
+                       0, static_cast<std::int64_t>(ref.high()) + 4));
+      ASSERT_EQ(t.opens_gap(s), ref.opens_gap(s)) << s;
+      t.record(s);
+      ref.record(s);
+      ASSERT_EQ(t.next(), ref.next());
+      ASSERT_EQ(t.high(), ref.high());
+      ASSERT_EQ(t.contiguous(), ref.contiguous());
+      ASSERT_EQ(a == b, ref_a == ref_b);
+    }
+  }
+}
 
 TEST(SeqTracker, StartsAtOriginAndAdvancesContiguously) {
   SeqTracker t;

@@ -80,6 +80,18 @@ TEST(CliValidation, BenchRejectsMalformedShardCounts) {
   }
 }
 
+TEST(CliValidation, SimRejectsMalformedPlacementCounts) {
+  // Each used to go through an unchecked strtol: "x", "-2" and "0" reached
+  // the engine's preconditions and aborted; "5abc" and "5:7" ran as 5.
+  for (const char* spec : {"us-east-1:x:5", "us-east-1:-2:5", "us-east-1:0:5",
+                           "us-east-1:3:5abc", "us-east-1:3:5:7"}) {
+    expect_cli(std::string("/tools/multipub-sim --placement ") + spec, 2,
+               "bad --placement");
+  }
+  expect_cli("/tools/multipub-sim --placement us-east-1:2:3 --mode direct", 0,
+             "");
+}
+
 TEST(CliValidation, ReliableFlagIsAcceptedByAllThreeBinaries) {
   // `--reliable on` must pass flag validation everywhere the reliability
   // layer can run. The node binary is probed up to the scenario-file open

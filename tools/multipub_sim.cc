@@ -13,9 +13,12 @@
 //   multipub-sim --placement ap-northeast-1:2:4 --ratio 95 --max-t 150 --live
 //   multipub-sim --synthetic-regions 20 --heuristic --max-t 120
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/heuristic.h"
@@ -172,12 +175,23 @@ int main(int argc, char** argv) {
     } else if (!region.valid()) {
       flags.error("unknown region '" + spec.substr(0, c1) + "'");
     } else {
-      const auto count = [&](std::size_t from, std::size_t len) {
-        return static_cast<std::size_t>(
-            std::strtol(spec.substr(from, len).c_str(), nullptr, 10));
+      // Each count must be one whole positive decimal field: "x", "-2",
+      // "0", "5abc" and a fourth field ("3:5:7") are errors, not silently
+      // parsed prefixes. A topic needs a publisher and a subscriber.
+      const auto count = [&](std::string_view field, const char* what) {
+        std::size_t value = 0;
+        const char* end = field.data() + field.size();
+        const auto [stop, error] = std::from_chars(field.data(), end, value);
+        if (error != std::errc{} || stop != end || value == 0) {
+          flags.error("bad --placement " + std::string(what) + " count '" +
+                      std::string(field) + "' (want a positive integer)");
+        }
+        return value;
       };
-      placements.push_back({region, count(c1 + 1, c2 - c1 - 1),
-                            count(c2 + 1, std::string::npos)});
+      const std::string_view view = spec;
+      placements.push_back(
+          {region, count(view.substr(c1 + 1, c2 - c1 - 1), "publisher"),
+           count(view.substr(c2 + 1), "subscriber")});
     }
   }
   // Flag errors (unknown flags, malformed numbers) first: a typo must not
