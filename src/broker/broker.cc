@@ -35,7 +35,6 @@ void Broker::set_topic_config(TopicId topic, const core::TopicConfig& config) {
   }
   configs_[topic] = config;
   if (reliable_) {
-    ++state_seq_;
     wire::Message delta;
     delta.topic = topic;
     delta.subscriber = ClientId{-1};  // config entry, not a subscription
@@ -75,7 +74,6 @@ void Broker::handle(const wire::Message& msg) {
         // The delta inherits the subscribe's weight: a weighted cohort
         // subscribe stands for that many per-client subscribes, and the
         // replication stream must bill like the per-client expansion would.
-        ++state_seq_;
         wire::Message delta;
         delta.topic = msg.topic;
         delta.subscriber = msg.subscriber;
@@ -87,6 +85,7 @@ void Broker::handle(const wire::Message& msg) {
       break;
     case wire::MessageType::kUnsubscribe: {
       bool erased = false;
+      const Subscription* kept = nullptr;
       if (const net::CohortDirectory* dir = bus_->cohort_directory();
           dir != nullptr) {
         // A flock entry outlives single-member departures: it goes away
@@ -94,24 +93,35 @@ void Broker::handle(const wire::Message& msg) {
         // elsewhere — the exact moments the per-client table would have
         // dropped its last member entry for this region.
         const std::int32_t flock = msg.subscriber.value();
-        if (subs_.contains(msg.topic, msg.subscriber)) {
+        if (const Subscription* entry = subs_.find(msg.topic, msg.subscriber);
+            entry != nullptr) {
           membership_changed_.insert(msg.topic);
           if (dir->flock_weight(flock) == 0 ||
               dir->flock_attachment(flock) != self_) {
             erased = subs_.unsubscribe(msg.topic, msg.subscriber);
+          } else {
+            kept = entry;
           }
         }
       } else if (subs_.unsubscribe(msg.topic, msg.subscriber)) {
         membership_changed_.insert(msg.topic);
         erased = true;
       }
-      if (reliable_ && erased) {
-        ++state_seq_;
+      if (reliable_ && (erased || kept != nullptr)) {
+        // One delta per departure, weighted like the per-client expansion's
+        // removals. A flock entry that stays behind is restated as an
+        // upsert: the replica keeps it, and state_seq moves exactly as the
+        // per-client member's removal would move it.
         wire::Message delta;
         delta.topic = msg.topic;
         delta.subscriber = msg.subscriber;
-        delta.weight = msg.weight;  // mirror the per-client expansion count
-        delta.seq = 0;  // remove
+        delta.weight = msg.weight;
+        if (kept != nullptr) {
+          delta.filter = kept->filter;
+          delta.seq = 1;  // upsert of the kept entry
+        } else {
+          delta.seq = 0;  // remove
+        }
         emit_state_delta(delta);
       }
       break;
@@ -284,6 +294,37 @@ void Broker::reset_traffic() { traffic_.clear(); }
 
 // ---- Reliable delivery + Clone-pattern state replication (DESIGN.md §15)
 
+namespace {
+
+/// The configured topics in ascending order (a hash map's own order is not
+/// deterministic), so streams and sync passes run in one fixed order.
+std::vector<TopicId> sorted_topics(
+    const std::unordered_map<TopicId, core::TopicConfig>& configs) {
+  std::vector<TopicId> topics;
+  topics.reserve(configs.size());
+  for (const auto& [topic, config] : configs) topics.push_back(topic);
+  std::sort(topics.begin(), topics.end());
+  return topics;
+}
+
+/// The one rule that applies a state entry — a snapshot entry or a delta —
+/// to a pair of tables: an invalid subscriber marks a config entry (always
+/// an upsert, installed without a drain window); otherwise seq bit 0 selects
+/// subscription upsert (1) or removal (0). Serves the standby's replica and
+/// the restoring owner's own tables alike.
+void apply_state_entry(std::unordered_map<TopicId, core::TopicConfig>& configs,
+                       SubscriptionTable& subs, const wire::Message& entry) {
+  if (!entry.subscriber.valid()) {
+    configs[entry.topic] = wire::config_of(entry);
+  } else if ((entry.seq & 1) != 0) {
+    (void)subs.subscribe(entry.topic, entry.subscriber, entry.filter);
+  } else {
+    (void)subs.unsubscribe(entry.topic, entry.subscriber);
+  }
+}
+
+}  // namespace
+
 bool Broker::first_sight(TopicId topic, ClientId publisher,
                          std::uint64_t seq) {
   return seen_[topic][publisher].insert(seq);
@@ -310,21 +351,14 @@ void Broker::on_reliable_arrival(const wire::Message& msg, bool from_replay) {
   // The subscriber field of a reliable kForward/broker-bound kReplayBatch
   // carries the sending region, and delivery_seq its ring position there.
   const RegionId sender{msg.subscriber.value()};
-  SeqTracker& cursor = peer_cursors_[{sender.value(), msg.topic.value()}];
-  // One request per NEW gap; a stalled gap (its replay batch was itself
-  // lost in flight) is re-requested by sync_with_peers from cursor.next(),
-  // which — being cumulative — still names the oldest missing forward.
-  // Replayed copies never re-trigger requests (a truncated ring would loop
-  // forever).
-  const bool fresh_gap = !from_replay && cursor.opens_gap(msg.delivery_seq);
-  cursor.record(msg.delivery_seq);
-  if (fresh_gap) {
+  if (const auto from = peer_cursors_[{sender.value(), msg.topic.value()}]
+                            .arrive(msg.delivery_seq, from_replay)) {
     wire::Message req;
     req.type = wire::MessageType::kReplayRequest;
     req.topic = msg.topic;
     req.publisher = ClientId{self_.value()};  // requester region
     req.subscriber = ClientId{-1};
-    req.delivery_seq = cursor.next();
+    req.delivery_seq = *from;
     bus_->send(net::Address::region(self_), net::Address::region(sender),
                req);
   }
@@ -345,7 +379,8 @@ void Broker::on_replay_request(const wire::Message& msg) {
     // the replay hook: set_replay_enabled(false) sabotages data replay
     // only, so each negative chaos hook trips exactly its own oracle.
     if (state_sync_enabled_) {
-      stream_state_snapshot(RegionId{msg.publisher.value()}, self_);
+      stream_tables(RegionId{msg.publisher.value()}, self_, state_seq_,
+                    configs_, subs_);
     }
     return;
   }
@@ -379,13 +414,9 @@ void Broker::on_replay_request(const wire::Message& msg) {
   const ClientId table_key =
       to_flock ? ClientId{static_cast<std::int32_t>(msg.key - 1)}
                : msg.subscriber;
-  wire::KeyFilter filter = wire::KeyFilter::all();
-  for (const Subscription& sub : subs_.subscriptions(msg.topic)) {
-    if (sub.subscriber == table_key) {
-      filter = sub.filter;
-      break;
-    }
-  }
+  const Subscription* sub = subs_.find(msg.topic, table_key);
+  const wire::KeyFilter filter =
+      sub != nullptr ? sub->filter : wire::KeyFilter::all();
   const net::Address dest =
       to_flock ? net::Address::cohort(static_cast<std::int32_t>(msg.key - 1))
                : net::Address::client(msg.subscriber);
@@ -405,6 +436,9 @@ void Broker::on_replay_request(const wire::Message& msg) {
 
 void Broker::emit_state_delta(wire::Message delta) {
   MP_EXPECTS(reliable_);
+  // A weighted delta stands for `weight` per-client table mutations, so the
+  // sequence numbers the per-client expansion on either plane.
+  state_seq_ += delta.weight;
   if (!standby_.valid() || !state_sync_enabled_) return;
   delta.type = wire::MessageType::kStateDelta;
   delta.publisher = ClientId{self_.value()};  // state owner
@@ -417,79 +451,52 @@ void Broker::set_standby(RegionId standby) {
   MP_EXPECTS(!standby.valid() || standby != self_);
   standby_ = standby;
   if (reliable_ && standby_.valid() && state_sync_enabled_) {
-    stream_state_snapshot(standby_, self_);
+    stream_tables(standby_, self_, state_seq_, configs_, subs_);
   }
 }
 
-void Broker::stream_state_snapshot(RegionId to, RegionId owner) {
+void Broker::stream_tables(
+    RegionId to, RegionId owner, std::uint64_t seq,
+    const std::unordered_map<TopicId, core::TopicConfig>& configs,
+    const SubscriptionTable& subs) {
   const net::Address self_addr = net::Address::region(self_);
   const net::Address dest = net::Address::region(to);
-  const auto send_marker = [&](std::uint64_t kind, std::uint64_t state_seq) {
-    wire::Message marker;
-    marker.type = wire::MessageType::kStateSnapshot;
-    marker.publisher = ClientId{owner.value()};
-    marker.topic = TopicId{-1};
-    marker.subscriber = ClientId{-1};
-    marker.seq = kind;  // 0 = begin (clear), 1 = end (commit)
-    marker.delivery_seq = state_seq;
-    bus_->send(self_addr, dest, marker);
-  };
+  wire::Message base;
+  base.type = wire::MessageType::kStateSnapshot;
+  base.publisher = ClientId{owner.value()};
+  base.subscriber = ClientId{-1};
+  base.seq = 1;  // every entry is an upsert
 
-  if (owner == self_) {
-    // Primary streaming its own tables (standby bootstrap or resync).
-    send_marker(0, state_seq_);
-    std::vector<std::int32_t> topic_values;
-    topic_values.reserve(configs_.size());
-    for (const auto& [topic, config] : configs_) {
-      topic_values.push_back(topic.value());
-    }
-    std::sort(topic_values.begin(), topic_values.end());
-    for (const std::int32_t t : topic_values) {
-      const core::TopicConfig& config = configs_.at(TopicId{t});
-      wire::Message entry;
-      entry.type = wire::MessageType::kStateSnapshot;
-      entry.publisher = ClientId{owner.value()};
-      entry.topic = TopicId{t};
-      entry.subscriber = ClientId{-1};
-      wire::set_config(entry, config);
-      entry.seq = 1;
-      bus_->send(self_addr, dest, entry);
-    }
-    const net::CohortDirectory* dir = bus_->cohort_directory();
-    for (const TopicId topic : subs_.topics()) {
-      for (const Subscription& sub : subs_.subscriptions(topic)) {
-        wire::Message entry;
-        entry.type = wire::MessageType::kStateSnapshot;
-        entry.publisher = ClientId{owner.value()};
-        entry.topic = topic;
-        entry.subscriber = sub.subscriber;
-        entry.filter = sub.filter;
-        // On the cohort plane a table entry stands for a whole flock; the
-        // snapshot stream bills as the per-client expansion would.
-        entry.weight =
-            dir == nullptr ? 1 : dir->flock_weight(sub.subscriber.value());
-        entry.seq = 1;
-        bus_->send(self_addr, dest, entry);
-      }
-    }
-    send_marker(1, state_seq_);
-    return;
-  }
-
-  // Standby host streaming a replica back to its restored owner.
-  const auto it = replicas_.find(owner.value());
-  if (it == replicas_.end()) return;
-  const StandbyReplica& rep = it->second;
-  send_marker(0, rep.applied_seq);
-  for (const auto& [topic_value, entry] : rep.configs) {
+  // Markers carry an invalid topic: seq 0 begins (clear), seq 1 ends
+  // (commit at state seq `seq`).
+  wire::Message marker = base;
+  marker.topic = TopicId{-1};
+  marker.seq = 0;
+  marker.delivery_seq = seq;
+  bus_->send(self_addr, dest, marker);
+  for (const TopicId topic : sorted_topics(configs)) {
+    wire::Message entry = base;
+    entry.topic = topic;
+    wire::set_config(entry, configs.at(topic));
     bus_->send(self_addr, dest, entry);
   }
-  for (const auto& [topic_value, entries] : rep.subscriptions) {
-    for (const wire::Message& entry : entries) {
+  // On the cohort plane a table entry stands for a whole flock: its weight
+  // is read from the directory now, so every stream — bootstrap, resync or
+  // restore — bills as the per-client expansion of the current tables.
+  const net::CohortDirectory* dir = bus_->cohort_directory();
+  for (const TopicId topic : subs.topics()) {
+    for (const Subscription& sub : subs.subscriptions(topic)) {
+      wire::Message entry = base;
+      entry.topic = topic;
+      entry.subscriber = sub.subscriber;
+      entry.filter = sub.filter;
+      entry.weight =
+          dir == nullptr ? 1 : dir->flock_weight(sub.subscriber.value());
       bus_->send(self_addr, dest, entry);
     }
   }
-  send_marker(1, rep.applied_seq);
+  marker.seq = 1;
+  bus_->send(self_addr, dest, marker);
 }
 
 void Broker::request_state_resync(RegionId owner) {
@@ -508,13 +515,9 @@ void Broker::on_state_snapshot(const wire::Message& msg) {
       if (msg.seq == 1) state_seq_ = msg.delivery_seq;
       return;
     }
-    if (msg.subscriber.valid()) {
-      (void)subs_.subscribe(msg.topic, msg.subscriber, msg.filter);
-      // The controller must re-learn what this region serves.
-      membership_changed_.insert(msg.topic);
-    } else {
-      configs_[msg.topic] = wire::config_of(msg);  // no drain on restore
-    }
+    apply_state_entry(configs_, subs_, msg);
+    // The controller must re-learn what this region serves.
+    if (msg.subscriber.valid()) membership_changed_.insert(msg.topic);
     return;
   }
 
@@ -523,29 +526,14 @@ void Broker::on_state_snapshot(const wire::Message& msg) {
   if (!msg.topic.valid()) {
     if (msg.seq == 0) {
       rep.configs.clear();
-      rep.subscriptions.clear();
+      rep.subs.clear();
     } else {
       rep.applied_seq = msg.delivery_seq;
       rep.resync_pending = false;  // resync committed; gaps may re-request
     }
     return;
   }
-  wire::Message entry = msg;
-  entry.type = wire::MessageType::kStateSnapshot;  // canonical stored shape
-  if (!entry.subscriber.valid()) {
-    rep.configs[entry.topic.value()] = entry;
-    return;
-  }
-  auto& list = rep.subscriptions[entry.topic.value()];
-  const auto match =
-      std::find_if(list.begin(), list.end(), [&](const wire::Message& e) {
-        return e.subscriber == entry.subscriber;
-      });
-  if (match != list.end()) {
-    *match = entry;
-  } else {
-    list.push_back(entry);
-  }
+  apply_state_entry(rep.configs, rep.subs, msg);
 }
 
 void Broker::on_state_delta(const wire::Message& msg) {
@@ -563,8 +551,11 @@ void Broker::on_state_delta(const wire::Message& msg) {
     }
     return;
   }
-  if (msg.delivery_seq <= rep.applied_seq) return;  // stale duplicate
-  if (msg.delivery_seq != rep.applied_seq + 1) {
+  // A delta is next in line when it advances the applied seq by exactly its
+  // weight (a weight-0 delta, the departure of a flock nobody is left
+  // behind, advances it by nothing).
+  if (msg.delivery_seq != rep.applied_seq + msg.weight) {
+    if (msg.delivery_seq <= rep.applied_seq) return;  // stale duplicate
     // Gap in the sequenced delta stream: one resync per gap episode, not
     // one per delta that arrives while the snapshot is still in flight.
     if (!rep.resync_pending) {
@@ -573,29 +564,7 @@ void Broker::on_state_delta(const wire::Message& msg) {
     }
     return;
   }
-  if (!msg.subscriber.valid()) {
-    wire::Message entry = msg;
-    entry.type = wire::MessageType::kStateSnapshot;
-    rep.configs[entry.topic.value()] = entry;
-  } else {
-    auto& list = rep.subscriptions[msg.topic.value()];
-    const auto match =
-        std::find_if(list.begin(), list.end(), [&](const wire::Message& e) {
-          return e.subscriber == msg.subscriber;
-        });
-    if ((msg.seq & 1) != 0) {  // add/upsert
-      wire::Message entry = msg;
-      entry.type = wire::MessageType::kStateSnapshot;
-      if (match != list.end()) {
-        *match = entry;
-      } else {
-        list.push_back(entry);
-      }
-    } else if (match != list.end()) {  // remove
-      list.erase(match);
-      if (list.empty()) rep.subscriptions.erase(msg.topic.value());
-    }
-  }
+  apply_state_entry(rep.configs, rep.subs, msg);
   rep.applied_seq = msg.delivery_seq;
 }
 
@@ -617,21 +586,15 @@ void Broker::crash() {
 
 void Broker::restore_peer(RegionId owner) {
   if (!reliable_ || !state_sync_enabled_) return;
-  if (replicas_.find(owner.value()) == replicas_.end()) return;
-  stream_state_snapshot(owner, owner);
+  const auto it = replicas_.find(owner.value());
+  if (it == replicas_.end()) return;
+  const StandbyReplica& rep = it->second;
+  stream_tables(owner, owner, rep.applied_seq, rep.configs, rep.subs);
 }
 
 void Broker::sync_with_peers() {
   if (!reliable_) return;
-  // Deterministic topic order (configs_ is a hash map).
-  std::vector<std::int32_t> topic_values;
-  topic_values.reserve(configs_.size());
-  for (const auto& [topic, config] : configs_) {
-    topic_values.push_back(topic.value());
-  }
-  std::sort(topic_values.begin(), topic_values.end());
-  for (const std::int32_t t : topic_values) {
-    const TopicId topic{t};
+  for (const TopicId topic : sorted_topics(configs_)) {
     const core::TopicConfig& config = configs_.at(topic);
     // Both modes sync: under direct delivery serving brokers hold parallel
     // rings (one kPublish copy each), and a region that JOINS the serving
@@ -644,7 +607,7 @@ void Broker::sync_with_peers() {
     const geo::RegionSet peers = config.regions | draining_regions(topic);
     for (const RegionId peer : peers) {
       if (peer == self_) continue;
-      const auto it = peer_cursors_.find({peer.value(), t});
+      const auto it = peer_cursors_.find({peer.value(), topic.value()});
       // Unknown cursor (first contact or post-crash): ask for everything
       // the peer still retains.
       const std::uint64_t from =

@@ -134,7 +134,9 @@ class Broker {
   [[nodiscard]] RegionId standby() const { return standby_; }
 
   /// Monotone counter of subscription/config table mutations (the sequence
-  /// number of the kStateDelta stream). 0 until the first mutation.
+  /// number of the kStateDelta stream), counted as their per-client
+  /// expansion: a weighted cohort mutation advances it by its weight. 0
+  /// until the first mutation.
   [[nodiscard]] std::uint64_t state_seq() const { return state_seq_; }
 
   /// state_seq the replica this broker hosts for `owner` has applied; 0 when
@@ -182,13 +184,18 @@ class Broker {
   /// it).
   bool first_sight(TopicId topic, ClientId publisher, std::uint64_t seq);
   ReplayRing& ring(TopicId topic);
-  /// Emits one kStateDelta for a table mutation (no-op unless reliable with
-  /// a standby and sync enabled).
+  /// Advances state_seq by the delta's weight and streams the mutation to
+  /// the standby as one kStateDelta (the send is skipped without a standby
+  /// or with sync disabled). Pre: reliable.
   void emit_state_delta(wire::Message delta);
   /// Streams begin marker + config entries + subscription entries + end
-  /// marker describing `owner`'s state to region `to`. When owner == self_
-  /// the broker's own tables are streamed; otherwise the hosted replica.
-  void stream_state_snapshot(RegionId to, RegionId owner);
+  /// marker (committing at state seq `seq`) describing `owner`'s tables to
+  /// region `to`: the primary's own for a standby bootstrap or resync, the
+  /// hosted replica for a restore.
+  void stream_tables(RegionId to, RegionId owner, std::uint64_t seq,
+                     const std::unordered_map<TopicId, core::TopicConfig>&
+                         configs,
+                     const SubscriptionTable& subs);
   void request_state_resync(RegionId owner);
 
   struct Drain {
@@ -197,9 +204,8 @@ class Broker {
   };
 
   /// Clone-pattern replica of a peer primary's broker state, held by this
-  /// broker as that peer's standby (DESIGN.md §15). Entries are stored as
-  /// the wire messages that described them, keyed for deterministic
-  /// re-streaming order.
+  /// broker as that peer's standby (DESIGN.md §15): the primary's own table
+  /// types, kept by the same entry rule.
   struct StandbyReplica {
     std::uint64_t applied_seq = 0;
     /// A full resync is in flight: further gapped deltas must not each
@@ -207,10 +213,8 @@ class Broker {
     /// delta rate, not the failure rate). Re-armed by every heartbeat, so a
     /// snapshot lost in transit is re-requested at the next sync interval.
     bool resync_pending = false;
-    /// topic value -> config entry (kStateSnapshot/kStateDelta shape).
-    std::map<std::int32_t, wire::Message> configs;
-    /// topic value -> subscription entries in arrival order.
-    std::map<std::int32_t, std::vector<wire::Message>> subscriptions;
+    std::unordered_map<TopicId, core::TopicConfig> configs;
+    SubscriptionTable subs;
   };
 
   RegionId self_;

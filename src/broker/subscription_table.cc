@@ -52,12 +52,14 @@ std::vector<ClientId> SubscriptionTable::subscriber_ids(TopicId topic) const {
   return out;
 }
 
-bool SubscriptionTable::contains(TopicId topic, ClientId subscriber) const {
+const Subscription* SubscriptionTable::find(TopicId topic,
+                                            ClientId subscriber) const {
   const auto& subs = subscriptions(topic);
-  return std::any_of(subs.begin(), subs.end(),
-                     [subscriber](const Subscription& s) {
-                       return s.subscriber == subscriber;
-                     });
+  const auto it = std::find_if(subs.begin(), subs.end(),
+                               [subscriber](const Subscription& s) {
+                                 return s.subscriber == subscriber;
+                               });
+  return it == subs.end() ? nullptr : &*it;
 }
 
 std::size_t SubscriptionTable::topic_count() const { return table_.size(); }

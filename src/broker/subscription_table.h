@@ -42,7 +42,13 @@ class SubscriptionTable {
   /// report that outlives the table's current state).
   [[nodiscard]] std::vector<ClientId> subscriber_ids(TopicId topic) const;
 
-  [[nodiscard]] bool contains(TopicId topic, ClientId subscriber) const;
+  /// `subscriber`'s registration on `topic`, nullptr when absent. Valid
+  /// until the table's next mutation.
+  [[nodiscard]] const Subscription* find(TopicId topic,
+                                         ClientId subscriber) const;
+  [[nodiscard]] bool contains(TopicId topic, ClientId subscriber) const {
+    return find(topic, subscriber) != nullptr;
+  }
   [[nodiscard]] std::size_t topic_count() const;
   [[nodiscard]] std::size_t subscription_count() const;
 

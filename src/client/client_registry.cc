@@ -95,22 +95,4 @@ ClientId ClientRegistry::add(RegionId home, std::span<const Millis> latency_row,
   return ClientId{static_cast<ClientId::underlying_type>(i)};
 }
 
-RegionId ClientRegistry::closest_region(std::int32_t row,
-                                        geo::RegionSet candidates) const {
-  MP_EXPECTS(!candidates.empty());
-  const std::span<const Millis> r = this->row(row);
-  RegionId best = RegionId::invalid();
-  Millis best_latency = kUnreachable;
-  for (std::size_t i = 0; i < n_regions_; ++i) {
-    const RegionId region{static_cast<RegionId::underlying_type>(i)};
-    if (!candidates.contains(region)) continue;
-    if (r[i] < best_latency) {
-      best_latency = r[i];
-      best = region;
-    }
-  }
-  MP_ENSURES(best.valid());
-  return best;
-}
-
 }  // namespace multipub::client

@@ -24,6 +24,7 @@
 #include "common/arena.h"
 #include "common/assert.h"
 #include "common/types.h"
+#include "geo/latency.h"
 #include "geo/region_set.h"
 
 namespace multipub::client {
@@ -104,11 +105,12 @@ class ClientRegistry {
     return this->row(row)[region.index()];
   }
 
-  /// The candidate region with the smallest row latency, ties towards the
-  /// lower id — the same scan as geo::ClientLatencyMap::closest_region, so
-  /// a cohort attaches exactly where each member would have.
+  /// geo::closest_region over interned row `row`: a cohort attaches
+  /// exactly where each member would have.
   [[nodiscard]] RegionId closest_region(std::int32_t row,
-                                        geo::RegionSet candidates) const;
+                                        geo::RegionSet candidates) const {
+    return geo::closest_region(this->row(row), candidates);
+  }
 
  private:
   [[nodiscard]] std::size_t check(ClientId c) const {

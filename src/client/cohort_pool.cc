@@ -525,31 +525,23 @@ void CohortPool::track_sequence(std::int32_t flock_id,
     if (flock.cursor_override.empty()) {
       // Uniform: the members' identical gap requests compress into one
       // weighted request.
-      const bool fresh_gap = !replayed && flock.cursor.opens_gap(s);
-      flock.cursor.record(s);
-      if (fresh_gap) {
-        request_replay(flock_id, flock.cursor.next(),
+      if (const auto from = flock.cursor.arrive(s, replayed)) {
+        request_replay(flock_id, *from,
                        static_cast<std::uint32_t>(cohort.members.size()),
                        ClientId::invalid());
       }
     } else {
       // Divergent positions: exactly the per-client plane's requests, in
       // member order; every member still records the arrival. The shared
-      // decision is taken once (record() is idempotent, but the first
-      // record would hide the gap from the remaining shared members).
-      const bool shared_gap = !replayed && flock.cursor.opens_gap(s);
-      flock.cursor.record(s);
+      // decision is taken once (the first arrival would hide the gap from
+      // the remaining shared members).
+      const auto shared_from = flock.cursor.arrive(s, replayed);
       for (const ClientId member : cohort.members) {
         const auto it = flock.cursor_override.find(member.value());
-        if (it == flock.cursor_override.end()) {
-          if (shared_gap) {
-            request_replay(flock_id, flock.cursor.next(), 1, member);
-          }
-          continue;
-        }
-        const bool fresh_gap = !replayed && it->second.opens_gap(s);
-        it->second.record(s);
-        if (fresh_gap) request_replay(flock_id, it->second.next(), 1, member);
+        const auto from =
+            it == flock.cursor_override.end() ? shared_from
+                                              : it->second.arrive(s, replayed);
+        if (from) request_replay(flock_id, *from, 1, member);
       }
     }
   } else {
@@ -560,9 +552,9 @@ void CohortPool::track_sequence(std::int32_t flock_id,
     SeqTracker& cursor =
         flock.cursor_override.try_emplace(msg.subscriber.value(), flock.cursor)
             .first->second;
-    const bool fresh_gap = !replayed && cursor.opens_gap(s);
-    cursor.record(s);
-    if (fresh_gap) request_replay(flock_id, cursor.next(), 1, msg.subscriber);
+    if (const auto from = cursor.arrive(s, replayed)) {
+      request_replay(flock_id, *from, 1, msg.subscriber);
+    }
   }
   // Collapse the overrides once every member is back at the same position.
   if (!flock.cursor_override.empty()) {

@@ -130,14 +130,10 @@ void Subscriber::sync_replay() {
 
 void Subscriber::on_publication(const wire::Message& msg, bool replayed) {
   if (reliable_) {
-    SeqTracker& cursor = cursors_[msg.topic];
-    // One request per NEW gap; a stalled gap (its replay batch was itself
-    // lost) is re-requested by the periodic sync pass from cursor.next(),
-    // which — being cumulative — still names the oldest missing entry.
-    // Replayed copies never trigger requests (a truncated ring would loop).
-    const bool fresh_gap = !replayed && cursor.opens_gap(msg.delivery_seq);
-    cursor.record(msg.delivery_seq);
-    if (fresh_gap) request_replay(msg.topic, cursor.next());
+    if (const auto from =
+            cursors_[msg.topic].arrive(msg.delivery_seq, replayed)) {
+      request_replay(msg.topic, *from);
+    }
   }
   // Handover overlap (and replay) can deliver the same publication twice;
   // the (topic, publisher, seq) identity — never the broker's ring stamp —

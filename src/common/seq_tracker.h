@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -116,11 +117,23 @@ class SeqTracker {
   }
 
   /// True when `s` would open a NEW gap: it lands beyond everything seen so
-  /// far AND beyond the contiguous point. The caller fires one replay
-  /// request per new gap; re-requests for a stalled gap are the periodic
-  /// sync pass's job, not the per-delivery path's.
+  /// far AND beyond the contiguous point.
   [[nodiscard]] bool opens_gap(std::uint64_t s) const {
     return s > high() + 1 && s > next();
+  }
+
+  /// The reliability layer's one gap rule: records `s` and returns the
+  /// `from` of a replay request exactly when a live arrival opens a new
+  /// gap. A stalled gap (its replay batch was itself lost) is re-requested
+  /// by the periodic sync pass from next(), which — being cumulative —
+  /// still names the oldest missing entry; a replayed copy never asks (a
+  /// truncated ring would loop forever).
+  [[nodiscard]] std::optional<std::uint64_t> arrive(std::uint64_t s,
+                                                    bool replayed) {
+    const bool fresh_gap = !replayed && opens_gap(s);
+    record(s);
+    if (!fresh_gap) return std::nullopt;
+    return next();
   }
 
   /// Oldest sequence not yet received — the `from` of a replay request.

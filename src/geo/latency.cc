@@ -77,6 +77,22 @@ bool InterRegionLatency::complete() const {
   return true;
 }
 
+RegionId closest_region(std::span<const Millis> row, RegionSet candidates) {
+  MP_EXPECTS(!candidates.empty());
+  RegionId best = RegionId::invalid();
+  Millis best_latency = kUnreachable;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    const RegionId r{static_cast<RegionId::underlying_type>(i)};
+    if (!candidates.contains(r)) continue;
+    if (row[i] < best_latency) {
+      best_latency = row[i];
+      best = r;
+    }
+  }
+  MP_ENSURES(best.valid());
+  return best;
+}
+
 ClientId ClientLatencyMap::add_client(std::span<const Millis> row) {
   MP_EXPECTS(row.size() == n_regions_);
   cells_.insert(cells_.end(), row.begin(), row.end());
@@ -102,24 +118,6 @@ void ClientLatencyMap::set(ClientId client, RegionId region, Millis value) {
 std::span<const Millis> ClientLatencyMap::row(ClientId client) const {
   MP_EXPECTS(client.valid() && client.index() < n_clients_);
   return {cells_.data() + client.index() * n_regions_, n_regions_};
-}
-
-RegionId ClientLatencyMap::closest_region(ClientId client,
-                                          RegionSet candidates) const {
-  MP_EXPECTS(!candidates.empty());
-  const std::span<const Millis> row = this->row(client);
-  RegionId best = RegionId::invalid();
-  Millis best_latency = kUnreachable;
-  for (std::size_t i = 0; i < n_regions_; ++i) {
-    const RegionId r{static_cast<RegionId::underlying_type>(i)};
-    if (!candidates.contains(r)) continue;
-    if (row[i] < best_latency) {
-      best_latency = row[i];
-      best = r;
-    }
-  }
-  MP_ENSURES(best.valid());
-  return best;
 }
 
 Millis ClientLatencyMap::closest_latency(ClientId client,

@@ -50,6 +50,14 @@ class InterRegionLatency {
   std::vector<Millis> cells_;  // row-major n x n
 };
 
+/// The member of `candidates` with the smallest latency in `row` (one entry
+/// per region, in catalog order), ties broken towards the lower region id.
+/// Every attachment decision — a client's, and a cohort's on behalf of all
+/// its members — is this one scan, so both subscriber planes pick the same
+/// region. Pre: candidates non-empty, and some candidate reachable.
+[[nodiscard]] RegionId closest_region(std::span<const Millis> row,
+                                      RegionSet candidates);
+
 /// Client-to-region one-way latency matrix (the paper's L). Row = client,
 /// column = region; clients are dense ids handed out by add_client().
 class ClientLatencyMap {
@@ -82,11 +90,11 @@ class ClientLatencyMap {
   /// the matrix was built becomes known through its first probe reports.
   void ensure_client(ClientId client);
 
-  /// The member of `candidates` with the smallest latency from `client`
-  /// (ties broken towards the lower region id, matching a deterministic
-  /// scan). Pre: candidates non-empty and within range.
+  /// geo::closest_region over `client`'s row.
   [[nodiscard]] RegionId closest_region(ClientId client,
-                                        RegionSet candidates) const;
+                                        RegionSet candidates) const {
+    return geo::closest_region(row(client), candidates);
+  }
 
   /// Latency from `client` to its closest region among `candidates`.
   [[nodiscard]] Millis closest_latency(ClientId client,

@@ -40,7 +40,8 @@ void FaultPlan::remove(int id) {
                rules_.end());
 }
 
-FaultPlan::Outcome FaultPlan::apply(Address from, Address to, Millis now) {
+FaultPlan::Outcome FaultPlan::apply(Address from, Address to, Millis now,
+                                    Rng& coin) const {
   Outcome outcome;
   for (const auto& [id, rule] : rules_) {
     if (now < rule.start || now >= rule.end) continue;
@@ -54,39 +55,6 @@ FaultPlan::Outcome FaultPlan::apply(Address from, Address to, Millis now) {
         // One draw per active matching rule until the message is lost. The
         // coin outcomes are themselves deterministic in the seed, so the
         // stream position — and with it every later decision — is too.
-        if (rng_.uniform(0.0, 1.0) < rule.drop_probability) {
-          random_dropped_.fetch_add(1, std::memory_order_relaxed);
-          outcome.dropped = true;
-          return outcome;
-        }
-        break;
-      case FaultRule::Kind::kDelay:
-        outcome.delay_factor *= rule.delay_factor;
-        outcome.delay_extra_ms += rule.delay_extra_ms;
-        break;
-    }
-  }
-  if (outcome.delay_factor != 1.0 || outcome.delay_extra_ms != 0.0) {
-    delayed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return outcome;
-}
-
-FaultPlan::Outcome FaultPlan::apply(Address from, Address to, Millis now,
-                                    Rng& coin) const {
-  // Same scan as the stateful overload, but the coin stream is the caller's
-  // and the plan's own stream is untouched; the tallies are relaxed atomics,
-  // so shard workers can consult one shared plan concurrently.
-  Outcome outcome;
-  for (const auto& [id, rule] : rules_) {
-    if (now < rule.start || now >= rule.end) continue;
-    if (!rule.from.matches(from) || !rule.to.matches(to)) continue;
-    switch (rule.kind) {
-      case FaultRule::Kind::kPartition:
-        partition_dropped_.fetch_add(1, std::memory_order_relaxed);
-        outcome.dropped = true;
-        return outcome;
-      case FaultRule::Kind::kDrop:
         if (coin.uniform(0.0, 1.0) < rule.drop_probability) {
           random_dropped_.fetch_add(1, std::memory_order_relaxed);
           outcome.dropped = true;

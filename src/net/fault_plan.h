@@ -79,9 +79,9 @@ struct FaultRule {
 
 class FaultPlan {
  public:
-  /// `seed` feeds the probabilistic-drop stream; two plans with the same
-  /// seed and the same consult sequence make identical drop decisions.
-  explicit FaultPlan(std::uint64_t seed) : seed_(seed), rng_(seed) {}
+  /// `seed` roots the probabilistic-drop coin streams; two plans with the
+  /// same seed and the same consult sequence make identical drop decisions.
+  explicit FaultPlan(std::uint64_t seed) : seed_(seed) {}
 
   /// Root of the plan's drop-coin stream family. The transport derives one
   /// per-link coin stream from it (common::derive_stream_seed), so coin
@@ -106,16 +106,11 @@ class FaultPlan {
   /// Consults every active rule in insertion order. Delay rules compound
   /// (factors multiply, extras add); the first matching partition — or drop
   /// rule whose coin lands — stops the scan. Each consulted kDrop rule
-  /// takes one draw from the seeded stream; since every coin outcome is
-  /// itself deterministic in the seed, so is the whole stream.
-  [[nodiscard]] Outcome apply(Address from, Address to, Millis now);
-
-  /// Form for callers that own the coin stream (the transport keeps one
-  /// per link so sharded runs stay deterministic): same rule scan, but drop
-  /// coins come from `coin` and the plan's own stream stays untouched. The
-  /// tallies are bumped with relaxed atomics — increments commute, so the
-  /// totals are shard-count-invariant and the call is safe from concurrent
-  /// shard workers.
+  /// takes one draw from `coin`, the caller's stream (the transport keeps
+  /// one per link, rooted at seed(), so sharded runs stay deterministic).
+  /// The tallies are bumped with relaxed atomics — increments commute, so
+  /// the totals are shard-count-invariant and the call is safe from
+  /// concurrent shard workers.
   [[nodiscard]] Outcome apply(Address from, Address to, Millis now,
                               Rng& coin) const;
 
@@ -155,9 +150,8 @@ class FaultPlan {
  private:
   std::vector<std::pair<int, FaultRule>> rules_;
   std::uint64_t seed_;
-  Rng rng_;
   int next_id_ = 0;
-  // mutable + relaxed: the const apply() tallies too. Totals are sums of
+  // mutable + relaxed: the const apply() tallies. Totals are sums of
   // commuting increments, hence independent of worker interleaving.
   mutable std::atomic<std::uint64_t> partition_dropped_{0};
   mutable std::atomic<std::uint64_t> random_dropped_{0};

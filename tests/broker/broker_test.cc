@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <sstream>
+#include <string>
 
+#include "common/rng.h"
+#include "net/fault_plan.h"
 #include "net/simulator.h"
 #include "net/transport.h"
 #include "testutil.h"
@@ -261,6 +266,197 @@ TEST_F(BrokerTest, PublishWithoutConfigStillDeliversLocally) {
   broker.handle(publish_msg(TinyWorld::kNearA));
   sim_.run();
   EXPECT_EQ(inbox_[TinyWorld::kNearA2].size(), 1u);
+}
+
+// ---- Clone-pattern state stream (DESIGN.md §15)
+
+/// Three reliable brokers on one transport: A is the primary under test, B
+/// hosts its standby, and C — a second primary that also streams to B —
+/// shows that B keeps each owner's replica apart. A's handler is wrapped to
+/// count the full-state resync requests B sends it.
+class StateStreamTest : public ::testing::Test {
+ protected:
+  static constexpr int kTopics = 4;
+  static constexpr std::int32_t kSubscribers = 6;
+
+  StateStreamTest() {
+    for (Broker* broker : {&a_, &b_, &c_}) broker->set_reliable(true);
+    transport_.register_handler(
+        net::Address::region(TinyWorld::kA), [this](const wire::Message& m) {
+          if (m.type == wire::MessageType::kReplayRequest && !m.topic.valid()) {
+            ++resyncs_;
+          }
+          a_.handle(m);
+        });
+    a_.set_standby(TinyWorld::kB);
+    c_.set_standby(TinyWorld::kB);
+  }
+
+  /// What a restore must bring back: subscriptions (order and filters),
+  /// configurations and the delta sequence.
+  struct Tables {
+    std::string subscriptions;
+    std::vector<std::optional<core::TopicConfig>> configs;
+    std::uint64_t state_seq = 0;
+    friend bool operator==(const Tables&, const Tables&) = default;
+  };
+
+  static Tables tables(const Broker& broker) {
+    Tables out;
+    std::ostringstream subs;
+    for (const TopicId topic : broker.subscriptions().topics()) {
+      subs << "t" << topic.value() << ":";
+      for (const Subscription& sub :
+           broker.subscriptions().subscriptions(topic)) {
+        subs << " " << sub.subscriber.value() << "[" << sub.filter.lo << ","
+             << sub.filter.hi << "]";
+      }
+      subs << "\n";
+    }
+    out.subscriptions = subs.str();
+    for (int t = 0; t < kTopics; ++t) {
+      const core::TopicConfig* config = broker.topic_config(TopicId{t});
+      out.configs.push_back(config == nullptr
+                                ? std::nullopt
+                                : std::optional<core::TopicConfig>(*config));
+    }
+    out.state_seq = broker.state_seq();
+    return out;
+  }
+
+  static std::int32_t draw(Rng& rng, std::int32_t n) {
+    return static_cast<std::int32_t>(rng.uniform_int(0, n - 1));
+  }
+
+  /// One random table mutation on `broker`: a subscribe (a filter upsert
+  /// when the subscriber is already there), an unsubscribe (possibly of an
+  /// absent subscriber) or a configuration change.
+  static void mutate(Broker& broker, Rng& rng) {
+    const TopicId topic{draw(rng, kTopics)};
+    const std::int32_t op = draw(rng, 10);
+    if (op >= 8) {
+      const auto mask = static_cast<std::uint64_t>(1 + draw(rng, 7));
+      const core::DeliveryMode mode = draw(rng, 2) == 0
+                                          ? core::DeliveryMode::kDirect
+                                          : core::DeliveryMode::kRouted;
+      broker.set_topic_config(topic, {geo::RegionSet(mask), mode});
+      return;
+    }
+    wire::Message msg;
+    msg.type = op < 5 ? wire::MessageType::kSubscribe
+                      : wire::MessageType::kUnsubscribe;
+    msg.topic = topic;
+    msg.subscriber = ClientId{draw(rng, kSubscribers)};
+    if (op < 5 && draw(rng, 2) == 1) {
+      msg.filter.lo = static_cast<std::uint64_t>(draw(rng, 50));
+      msg.filter.hi = msg.filter.lo + static_cast<std::uint64_t>(draw(rng, 50));
+    }
+    broker.handle(msg);
+  }
+
+  /// Crashes A, restores it from B's replica and expects `expected` back.
+  void crash_and_restore(const Tables& expected) {
+    a_.crash();
+    ASSERT_EQ(a_.subscriptions().topic_count(), 0u);
+    ASSERT_EQ(a_.state_seq(), 0u);
+    b_.restore_peer(TinyWorld::kA);
+    sim_.run();
+    EXPECT_EQ(tables(a_), expected) << "restored:\n"
+                                    << tables(a_).subscriptions
+                                    << "expected:\n"
+                                    << expected.subscriptions;
+  }
+
+  /// Drops everything A sends B while `body` runs (then drains).
+  template <typename Body>
+  void partition_a_to_b(Body body) {
+    net::FaultPlan plan(1);
+    net::FaultRule partition;
+    partition.kind = net::FaultRule::Kind::kPartition;
+    partition.from = net::FaultEndpoint::region(TinyWorld::kA);
+    partition.to = net::FaultEndpoint::region(TinyWorld::kB);
+    plan.add(partition);
+    transport_.set_fault_plan(&plan);
+    body();
+    sim_.run();
+    transport_.set_fault_plan(nullptr);
+  }
+
+  TinyWorld world_;
+  net::Simulator sim_;
+  net::SimTransport transport_{sim_, world_.catalog, world_.backbone,
+                               world_.clients};
+  Broker a_{TinyWorld::kA, sim_, transport_};
+  Broker b_{TinyWorld::kB, sim_, transport_};
+  Broker c_{TinyWorld::kC, sim_, transport_};
+  int resyncs_ = 0;
+};
+
+TEST_F(StateStreamTest, CrashAndRestoreBringsBackTheExactTables) {
+  Rng rng(1515);
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    for (int step = 0; step < 40; ++step) {
+      mutate(a_, rng);
+      if (step % 4 == 0) mutate(c_, rng);
+      if (step % 7 == 0) sim_.run();  // mutations land at several instants
+    }
+    sim_.run();
+    ASSERT_EQ(b_.replica_applied_seq(TinyWorld::kA), a_.state_seq());
+    ASSERT_EQ(b_.replica_applied_seq(TinyWorld::kC), c_.state_seq());
+    const Tables before = tables(a_);
+    ASSERT_FALSE(before.subscriptions.empty()) << "cycle " << cycle;
+    crash_and_restore(before);
+    // C's replica never leaks into A's restore, and the restore is no gap.
+    EXPECT_EQ(b_.replica_applied_seq(TinyWorld::kC), c_.state_seq());
+    EXPECT_EQ(b_.replica_applied_seq(TinyWorld::kA), a_.state_seq());
+  }
+  EXPECT_EQ(resyncs_, 0);
+}
+
+TEST_F(StateStreamTest, DroppedDeltaTriggersOneResyncPerGapEpisode) {
+  Rng rng(77);
+  for (int step = 0; step < 20; ++step) mutate(a_, rng);
+  sim_.run();
+  ASSERT_EQ(b_.replica_applied_seq(TinyWorld::kA), a_.state_seq());
+
+  for (int episode = 1; episode <= 2; ++episode) {
+    const std::uint64_t applied = a_.state_seq();
+    partition_a_to_b([&] {
+      a_.set_topic_config(TopicId{episode},
+                          {geo::RegionSet(0b011), core::DeliveryMode::kRouted});
+    });
+    ASSERT_EQ(a_.state_seq(), applied + 1);
+    ASSERT_EQ(b_.replica_applied_seq(TinyWorld::kA), applied);
+    // Every later delta finds the gap; only the first one asks.
+    for (int step = 0; step < 6; ++step) mutate(a_, rng);
+    sim_.run();
+    EXPECT_EQ(resyncs_, episode);
+    EXPECT_EQ(b_.replica_applied_seq(TinyWorld::kA), a_.state_seq());
+  }
+  crash_and_restore(tables(a_));
+}
+
+TEST_F(StateStreamTest, HeartbeatMismatchTriggersResync) {
+  Rng rng(5);
+  for (int step = 0; step < 12; ++step) mutate(a_, rng);
+  sim_.run();
+  // The last delta is lost and nothing follows it: only the heartbeat can
+  // reveal the divergence.
+  partition_a_to_b([&] {
+    a_.set_topic_config(TopicId{0},
+                        {geo::RegionSet(0b101), core::DeliveryMode::kDirect});
+  });
+  ASSERT_EQ(b_.replica_applied_seq(TinyWorld::kA), a_.state_seq() - 1);
+  ASSERT_EQ(resyncs_, 0);
+  a_.sync_with_peers();
+  sim_.run();
+  EXPECT_EQ(resyncs_, 1);
+  EXPECT_EQ(b_.replica_applied_seq(TinyWorld::kA), a_.state_seq());
+  // An agreeing heartbeat asks for nothing.
+  a_.sync_with_peers();
+  sim_.run();
+  EXPECT_EQ(resyncs_, 1);
+  crash_and_restore(tables(a_));
 }
 
 }  // namespace

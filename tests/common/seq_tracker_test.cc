@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -160,8 +161,19 @@ TEST(SeqTracker, MatchesTheSetBackedReferenceAtRandom) {
                  : static_cast<std::uint64_t>(rng.uniform_int(
                        0, static_cast<std::int64_t>(ref.high()) + 4));
       ASSERT_EQ(t.opens_gap(s), ref.opens_gap(s)) << s;
-      t.record(s);
-      ref.record(s);
+      if (step % 2 == 1) {
+        t.record(s);
+        ref.record(s);
+      } else {
+        // arrive() is the opens_gap / record / next sequence in one call,
+        // silent for a replayed copy.
+        const bool replayed = step % 4 == 0;
+        const bool fresh_gap = !replayed && ref.opens_gap(s);
+        const std::optional<std::uint64_t> from = t.arrive(s, replayed);
+        ref.record(s);
+        ASSERT_EQ(from, fresh_gap ? std::optional(ref.next()) : std::nullopt)
+            << s;
+      }
       ASSERT_EQ(t.next(), ref.next());
       ASSERT_EQ(t.high(), ref.high());
       ASSERT_EQ(t.contiguous(), ref.contiguous());

@@ -369,6 +369,86 @@ TEST(CohortReliable, CohortsPlusReliableRepairDropsLikePerClient) {
   EXPECT_EQ(pool.interval_delivery_weight(), expected);
 }
 
+TEST(CohortReliable, MemberChurnAndRestoreKeepReplicationBooksEqual) {
+  // The state stream must count like the per-client expansion through a
+  // member's whole life: a departure that leaves its weight-5 flock's entry
+  // behind is one delta, as that member's removal is on the per-client
+  // plane, and when the churner's region crashes and comes back the standby
+  // re-streams the flock at its live weight. Leave and rejoin happen at
+  // drained points with no traffic in between: a per-client subscriber
+  // that subscribes again replays the retained ring, a member rejoining its
+  // flock does not (DESIGN.md §12).
+  Rng rng(2026);
+  WorkloadSpec workload;
+  workload.interval_seconds = 10.0;
+  workload.subscriber_replication = 5;
+  const Scenario scenario =
+      make_scenario({{RegionId{0}, 2, 3}, {RegionId{5}, 2, 3}}, workload, rng);
+  LiveSystem per_client(scenario, {.reliable = true});
+  LiveSystem cohort(scenario, {.cohorts = true, .reliable = true});
+  ASSERT_EQ(cohort.cohort_pool()->cohort_weight(0), 5u);
+
+  const core::TopicConfig bootstrap{geo::RegionSet::universe(10),
+                                    core::DeliveryMode::kRouted};
+  per_client.deploy(bootstrap);
+  cohort.deploy(bootstrap);
+
+  const auto expect_books_equal = [&](const std::string& step) {
+    EXPECT_EQ(cohort.transport().sent_count(),
+              per_client.transport().sent_count())
+        << step;
+    EXPECT_EQ(collect_metrics(cohort).render(),
+              collect_metrics(per_client).render())
+        << step;
+    for (std::int32_t r = 0; r < 10; ++r) {
+      const broker::Broker& a =
+          per_client.region_manager(RegionId{r}).broker();
+      const broker::Broker& b = cohort.region_manager(RegionId{r}).broker();
+      EXPECT_EQ(b.state_seq(), a.state_seq()) << step << " R" << r;
+      for (std::int32_t owner = 0; owner < 10; ++owner) {
+        EXPECT_EQ(b.replica_applied_seq(RegionId{owner}),
+                  a.replica_applied_seq(RegionId{owner}))
+            << step << " R" << r << " replica of R" << owner;
+      }
+    }
+  };
+
+  Rng traffic_a(31), traffic_b(31);
+  (void)per_client.run_interval(10.0, 1024, 2.0, traffic_a);
+  (void)cohort.run_interval(10.0, 1024, 2.0, traffic_b);
+  expect_books_equal("traffic");
+
+  const TopicId topic = scenario.topic.topic;
+  const ClientId churner = scenario.topic.subscribers.back().client;
+  client::Subscriber& member = *per_client.subscribers().back();
+  client::CohortPool& pool = *cohort.cohort_pool();
+  member.unsubscribe(topic);
+  per_client.simulator().run();
+  pool.unsubscribe_client(churner, topic);
+  cohort.simulator().run();
+  expect_books_equal("leave");
+
+  member.subscribe(topic, bootstrap);
+  per_client.simulator().run();
+  pool.subscribe_client(churner, topic, bootstrap);
+  cohort.simulator().run();
+  expect_books_equal("rejoin");
+
+  const RegionId region = member.attached_region(topic);
+  ASSERT_EQ(pool.attached_region(churner, topic), region);
+  for (const bool down : {true, false}) {
+    for (LiveSystem* sys : {&per_client, &cohort}) {
+      sys->set_region_down(region, down);
+      sys->simulator().run();
+    }
+    expect_books_equal(down ? "crash" : "restore");
+  }
+
+  (void)per_client.run_interval(10.0, 1024, 2.0, traffic_a);
+  (void)cohort.run_interval(10.0, 1024, 2.0, traffic_b);
+  expect_books_equal("traffic after restore");
+}
+
 INSTANTIATE_TEST_SUITE_P(ControlPlane, CohortDiff, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Incremental" : "FullScan";

@@ -192,8 +192,9 @@ TEST_F(FaultPlanTest, DropProbabilityZeroAndOneAreDegenerate) {
 }
 
 TEST(FaultPlanSeed, SameSeedSameDecisions) {
-  // Two plans with the same seed consulted with the same sequence make
-  // identical drop decisions, message by message.
+  // Two plans with the same seed consulted with the same sequence, each on
+  // a coin stream rooted at its seed, make identical drop decisions,
+  // message by message.
   FaultRule drop;
   drop.kind = FaultRule::Kind::kDrop;
   drop.drop_probability = 0.5;
@@ -203,9 +204,10 @@ TEST(FaultPlanSeed, SameSeedSameDecisions) {
   auto decisions = [&](std::uint64_t seed) {
     FaultPlan plan(seed);
     plan.add(drop);
+    Rng coin(plan.seed());
     std::vector<bool> out;
     for (int i = 0; i < 200; ++i) {
-      out.push_back(plan.apply(a, b, 0.0).dropped);
+      out.push_back(plan.apply(a, b, 0.0, coin).dropped);
     }
     return out;
   };
